@@ -22,12 +22,12 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
 
 from . import __version__
 from .cnf import (
     Cnf,
     DimacsError,
+    check_model,
     compute_var_stats,
     preprocess_bcp,
     random_3sat,
@@ -56,7 +56,6 @@ from .lang import (
     PRESETS,
     ProgramSyntaxError,
     compute_activities,
-    normalize,
     parse_program,
     preset_program,
     print_program,
@@ -68,16 +67,6 @@ EXIT_UNSAT = 20
 EXIT_ERROR = 1
 
 
-@dataclass
-class RunManifest:
-    command: str
-    flags: dict
-    config_hash: str
-    master_seed: int
-    version: str
-    inputs: dict[str, str]  # path -> sha256
-
-
 def _sha256_file(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -85,11 +74,22 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: str, manifest: RunManifest) -> None:
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_manifest(args, config: SolverConfig | None, master_seed: int, paths) -> None:
+    """Write manifest.json for this run into its output directory.
+
+    config is None for commands that never search (reorder); the manifest
+    then records an empty config hash.
+    """
+    manifest = {
+        "command": args.command,
+        "flags": _flags(args),
+        "config_hash": "" if config is None else config_hash(config),
+        "master_seed": master_seed,
+        "version": __version__,
+        "inputs": {path: _sha256_file(path) for path in paths},  # path -> sha256
+    }
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _write(_out_dir(args), "manifest.json", text)
 
 
 def _out_dir(args) -> str:
@@ -148,7 +148,7 @@ def cmd_solve(args) -> int:
         model = {v: False for v in range(1, cnf.num_vars + 1)}
         for lit in forced:
             model[abs(lit)] = lit > 0
-        _check_model(cnf, model)
+        check_model(cnf, model)
         print("s SATISFIABLE")
         print("c conflicts=0 decisions=0 propagations=0")
         if args.model:
@@ -161,7 +161,7 @@ def cmd_solve(args) -> int:
         model = dict(outcome.model)
         for lit in forced:  # forced assignments win over solver's defaults
             model[abs(lit)] = lit > 0
-        _check_model(cnf, model)
+        check_model(cnf, model)
         print("s SATISFIABLE")
     else:
         model = None
@@ -175,18 +175,7 @@ def cmd_solve(args) -> int:
         _print_model(model)
 
     if args.out:
-        out_dir = _out_dir(args)
-        _write_manifest(
-            out_dir,
-            RunManifest(
-                command="solve",
-                flags=_flags(args),
-                config_hash=config_hash(config),
-                master_seed=args.solver_seed,
-                version=__version__,
-                inputs={args.file: _sha256_file(args.file)},
-            ),
-        )
+        _write_manifest(args, config, args.solver_seed, [args.file])
     return EXIT_SAT if outcome.verdict == "sat" else EXIT_UNSAT
 
 
@@ -204,15 +193,7 @@ def _build_init(args, reduced: Cnf) -> list[float]:
         raise ValueError(
             f"unknown --init {spec!r}; use zero, preset:<name> or file:<path>"
         )
-    if args.normalize:
-        init = normalize(init)
     return init
-
-
-def _check_model(cnf: Cnf, model: dict[int, bool]) -> None:
-    for clause in cnf.clauses:
-        if not any(model[abs(lit)] == (lit > 0) for lit in clause):
-            raise RuntimeError(f"model check failed on clause {clause}")
 
 
 def _print_model(model: dict[int, bool]) -> None:
@@ -247,17 +228,7 @@ def cmd_histogram(args) -> int:
     out_dir = _out_dir(args)
     _write(out_dir, "histogram.csv", histogram_csv(report))
     _write(out_dir, "samples.csv", samples_csv(report))
-    _write_manifest(
-        out_dir,
-        RunManifest(
-            command="histogram",
-            flags=_flags(args),
-            config_hash=config_hash(config),
-            master_seed=args.seed,
-            version=__version__,
-            inputs={args.file: _sha256_file(args.file)},
-        ),
-    )
+    _write_manifest(args, config, args.seed, [args.file])
     k0 = report.baseline.conflicts
     print(
         f"baseline conflicts k0={k0}; {report.samples} samples in"
@@ -285,9 +256,7 @@ def _parse_range(text: str) -> tuple[float, float]:
 def cmd_evolve(args) -> int:
     solver_config = _solver_config(args)
     named = [(os.path.basename(path), read_dimacs(path)) for path in args.files]
-    cases = FitnessCaseSet.from_cnfs(
-        named, solver_config, normalize_init=args.normalize
-    )
+    cases = FitnessCaseSet.from_cnfs(named, solver_config)
     gp_config = GpConfig(
         population_size=args.pop,
         generations=args.gens,
@@ -324,17 +293,7 @@ def cmd_evolve(args) -> int:
         "checkpoint.txt",
         save_checkpoint(state["population"], state["generation"], state["rng"]),
     )
-    _write_manifest(
-        out_dir,
-        RunManifest(
-            command="evolve",
-            flags=_flags(args),
-            config_hash=config_hash(solver_config),
-            master_seed=args.seed,
-            version=__version__,
-            inputs={p: _sha256_file(p) for p in args.files},
-        ),
-    )
+    _write_manifest(args, solver_config, args.seed, args.files)
     print(f"best fitness {best.fitness!r} with {best.node_count} nodes:")
     print(f"  {print_program(best.program)}")
     print(f"artifacts written to {out_dir}")
@@ -354,17 +313,7 @@ def cmd_reorder(args) -> int:
     map_name = f"{stem}.map"
     _write(out_dir, cnf_name, write_dimacs(reordered, comments=(f"reordered seed={args.seed}",)))
     _write(out_dir, map_name, write_mapping(mapping))
-    _write_manifest(
-        out_dir,
-        RunManifest(
-            command="reorder",
-            flags=_flags(args),
-            config_hash="",
-            master_seed=args.seed,
-            version=__version__,
-            inputs={args.file: _sha256_file(args.file)},
-        ),
-    )
+    _write_manifest(args, None, args.seed, [args.file])
     print(f"wrote {cnf_name} and {map_name} in {out_dir}")
     return 0
 
@@ -377,22 +326,10 @@ def cmd_validate(args) -> int:
     config = _solver_config(args)
     program = _load_program(args.program)
     problems = [(os.path.basename(p), read_dimacs(p)) for p in args.files]
-    report = run_validation(
-        program, problems, config, normalize_init=not args.no_normalize
-    )
+    report = run_validation(program, problems, config)
     out_dir = _out_dir(args)
     _write(out_dir, "validation.csv", validation_csv(report, args.solver_seed))
-    _write_manifest(
-        out_dir,
-        RunManifest(
-            command="validate",
-            flags=_flags(args),
-            config_hash=config_hash(config),
-            master_seed=args.solver_seed,
-            version=__version__,
-            inputs={p: _sha256_file(p) for p in args.files},
-        ),
-    )
+    _write_manifest(args, config, args.solver_seed, args.files)
     print(f"program: {report.program_text}")
     for row in report.rows:
         print(
@@ -451,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
         f" (presets: {', '.join(sorted(PRESETS))})",
     )
     p.add_argument("--normalize", action="store_true",
-                   help="normalize the initialization before solving")
+                   help="accepted and recorded; cannot change the search,"
+                   " since the solver normalizes every initialization")
     p.add_argument("--model", action="store_true", help="print v lines when SAT")
     p.add_argument("--out", default=None, help="write manifest.json here")
     _add_solver_flags(p)
@@ -473,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gens", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--normalize", action="store_true",
-                   help="normalize initializations during evaluation")
+                   help="accepted and recorded; cannot change the search,"
+                   " since the solver normalizes every initialization")
     p.add_argument("--resume", default=None, help="continue from a checkpoint file")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
@@ -490,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("program", help="preset:<name> or a program text file")
     p.add_argument("files", nargs="+")
     p.add_argument("--no-normalize", action="store_true",
-                   help="hand the raw activities to the solver")
+                   help="accepted and recorded; cannot change the search,"
+                   " since the solver normalizes every initialization")
     p.add_argument("--out", default=None)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_validate)

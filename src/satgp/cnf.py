@@ -181,6 +181,13 @@ def write_dimacs(cnf: Cnf, comments: tuple[str, ...] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def check_model(cnf: Cnf, model: dict[int, bool]) -> None:
+    """Raise RuntimeError naming the first clause that `model` falsifies."""
+    for clause in cnf.clauses:
+        if not any(model[abs(lit)] == (lit > 0) for lit in clause):
+            raise RuntimeError(f"model check failed on clause {clause}")
+
+
 def compute_var_stats(cnf: Cnf) -> VarStats:
     """Count negative/positive/total occurrences of every variable."""
     n = cnf.num_vars

@@ -34,7 +34,6 @@ from .lang import (
     Node,
     compute_activities,
     node_count,
-    normalize,
     parse_program,
     print_program,
     replace_subtree,
@@ -54,14 +53,13 @@ class GpConfig:
     generations: int = 5
     crossover_prob: float = 0.95
     creation_prob: float = 0.02
-    mutation_prob: float = 0.0
     creation_max_depth: int = 6
     crossover_max_depth: int = 17
     tournament_size: int = 10
     rng_seed: int = 0
 
     def validate(self) -> None:
-        for name in ("crossover_prob", "creation_prob", "mutation_prob"):
+        for name in ("crossover_prob", "creation_prob"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
@@ -101,11 +99,9 @@ class FitnessCase:
 class FitnessCaseSet:
     cases: list[FitnessCase]
     solver_config: SolverConfig
-    normalize_init: bool = False
 
     @staticmethod
-    def from_cnfs(named_cnfs, solver_config: SolverConfig,
-                  normalize_init: bool = False) -> "FitnessCaseSet":
+    def from_cnfs(named_cnfs, solver_config: SolverConfig) -> "FitnessCaseSet":
         """Preprocess raw CNFs into fitness cases.
 
         Rejects problems that preprocessing alone satisfies or refutes: a
@@ -122,7 +118,7 @@ class FitnessCaseSet:
             cases.append(FitnessCase(name, reduced, compute_var_stats(reduced)))
         if not cases:
             raise ValueError("at least one fitness case is required")
-        return FitnessCaseSet(cases, solver_config, normalize_init)
+        return FitnessCaseSet(cases, solver_config)
 
 
 def fitness(per_case, node_count: int) -> float:
@@ -134,22 +130,15 @@ def fitness(per_case, node_count: int) -> float:
     return math.sqrt(total) + node_count / 1000.0
 
 
-def evaluate(
-    ind: Individual, cases: FitnessCaseSet, normalize_init: bool | None = None
-) -> Individual:
+def evaluate(ind: Individual, cases: FitnessCaseSet) -> Individual:
     """Solve every fitness case with the individual's initialization.
 
-    normalize_init overrides the case set's default when given.  (With
-    this solver, normalizing cannot change the search trace; the flag
-    only controls which vector is handed over.)
+    The raw activities are handed over: the solver normalizes internally,
+    so normalizing them here could not change the search trace.
     """
-    if normalize_init is None:
-        normalize_init = cases.normalize_init
     per_case = []
     for case in cases.cases:
         acts = compute_activities(ind.program, case.cnf, case.stats)
-        if normalize_init:
-            acts = normalize(acts)
         outcome = solve(case.cnf, acts, cases.solver_config)
         per_case.append((outcome.conflicts, outcome.decisions))
     ind.per_case = per_case
@@ -267,20 +256,6 @@ def crossover(
     return replace(parent_a, **{fragment: new_tree})
 
 
-def mutate(prog: InitProgram, rng: SplitMix64, config: GpConfig) -> InitProgram:
-    """Subtree replacement with a fresh grow tree (off by default)."""
-    fragment = ("pre", "in_loop", "post")[rng.randrange(3)]
-    lang_fragment = {"pre": "pre", "in_loop": "in", "post": "post"}[fragment]
-    tree = getattr(prog, fragment)
-    point = rng.randrange(node_count(tree))
-    depth = 2 + rng.randrange(config.creation_max_depth - 1)
-    donor = random_tree(rng, lang_fragment, depth, "grow")
-    new_tree = replace_subtree(tree, point, donor)
-    if tree_depth(new_tree) > config.crossover_max_depth:
-        return prog
-    return replace(prog, **{fragment: new_tree})
-
-
 def _sample_indices(rng: SplitMix64, n: int, k: int) -> list[int]:
     """k distinct indices from range(n), in draw order."""
     seen: set[int] = set()
@@ -347,25 +322,19 @@ def step_steady_state(
         parent_a = tournament_select(population, rng, config.tournament_size)
         parent_b = tournament_select(population, rng, config.tournament_size)
 
+        child = None
         u = rng.random()
         if u < config.crossover_prob:
             child_prog = crossover(
                 parent_a.program, parent_b.program, rng, config.crossover_max_depth
             )
-            if child_prog is None:
-                child = Individual(
-                    parent_a.program,
-                    fitness=parent_a.fitness,
-                    per_case=parent_a.per_case,
-                    origin="copy",
-                )
-            else:
+            if child_prog is not None:
                 child = Individual(child_prog, origin="crossover")
         elif u < config.crossover_prob + config.creation_prob:
             depth = 2 + rng.randrange(config.creation_max_depth - 1)
             method = "full" if rng.flip() else "grow"
             child = random_individual(rng, depth, method)
-        else:
+        if child is None:
             child = Individual(
                 parent_a.program,
                 fitness=parent_a.fitness,
@@ -373,8 +342,7 @@ def step_steady_state(
                 origin="copy",
             )
 
-        if rng.random() < config.mutation_prob:
-            child = Individual(mutate(child.program, rng, config), origin="mutation")
+        rng.next_u64()  # unused draw, part of the pinned GP random stream
 
         validate_program(child.program)  # fragment closure is an invariant
         if child.fitness is None:

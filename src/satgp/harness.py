@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from .cnf import Cnf, compute_var_stats, preprocess_bcp, random_3sat, reorder
-from .lang import InitProgram, compute_activities, normalize, print_program
+from .lang import InitProgram, compute_activities, print_program
 from .rng import SplitMix64, spawn_seeds
 from .solver import SolveOutcome, SolverConfig, solve, solve_with_baseline
 
@@ -251,18 +251,16 @@ class ValidationReport:
 
 
 def run_validation(
-    program: InitProgram,
-    problems,
-    config: SolverConfig,
-    normalize_init: bool = True,
+    program: InitProgram, problems, config: SolverConfig
 ) -> ValidationReport:
     """Measure a program against the zero baseline on held-out problems.
 
     `problems` is an iterable of (name, raw Cnf).  Each problem is
     preprocessed, solved with the zero initialization and with the
-    program's (by default normalized) initialization.  Problems decided by
-    preprocessing contribute a 100% row, since no search happens either
-    way.  This is a measurement tool; it never passes or fails.
+    program's raw initialization (the solver normalizes it internally).
+    Problems decided by preprocessing contribute a 100% row, since no
+    search happens either way.  This is a measurement tool; it never
+    passes or fails.
     """
     rows = []
     for name, cnf in problems:
@@ -275,8 +273,6 @@ def run_validation(
         base = solve_with_baseline(reduced, config)
         stats = compute_var_stats(reduced)
         acts = compute_activities(program, reduced, stats)
-        if normalize_init:
-            acts = normalize(acts)
         prog_out = solve(reduced, acts, config)
         percent = (
             100.0 * prog_out.conflicts / base.conflicts

@@ -13,8 +13,9 @@ The caller supplies the initial activity vector.  It is normalized
 internally (divided by its largest magnitude), which makes the search
 trace invariant under positive scaling of the initialization: solving
 with `acts` and with `normalize(acts)` produces identical statistics,
-because normalization is idempotent bit for bit.  Only the ordering and
-tie structure of the initial activities can influence the search.
+because normalization is idempotent bit for bit.  Positive scaling is the
+only invariance: an order-preserving but nonlinear map (say x -> x**5)
+changes the magnitudes that conflict bumps add to, and so the search.
 
 Search machinery: two-watched-literal propagation, first-UIP clause
 learning with non-chronological backjumping, geometric restarts that keep
@@ -33,7 +34,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .cnf import Cnf
+from .cnf import Cnf, check_model
 from .lang import normalize
 from .rng import SplitMix64
 
@@ -62,6 +63,14 @@ class SolverConfig:
             raise ValueError("random_decision_freq must be in [0, 1)")
         if self.restart_first < 1:
             raise ValueError("restart_first must be >= 1")
+        if not self.restart_factor >= 1.0:
+            raise ValueError("restart_factor must be >= 1")
+        if not self.learnt_db_growth >= 1.0:
+            raise ValueError("learnt_db_growth must be >= 1")
+        if not self.learnt_db_initial_fraction > 0.0:
+            raise ValueError("learnt_db_initial_fraction must be > 0")
+        if not 0.0 < self.clause_decay <= 1.0:
+            raise ValueError("clause_decay must be in (0, 1]")
 
 
 @dataclass
@@ -89,8 +98,8 @@ class _Search:
         self.config = config
         n = cnf.num_vars
         self.n = n
-        # Internal normalization: only the order of initial activities can
-        # matter, never their scale.
+        # Internal normalization: the scale of the initial activities can
+        # never matter (their magnitudes relative to each other still do).
         acts = normalize(list(init))
         self.activity = [0.0] + acts
         self.var_inc = 1.0
@@ -347,16 +356,9 @@ class _Search:
                     self.reduce_db()
                 if len(self.trail) == self.n:
                     model = {v: bool(self.assigns[v]) for v in range(1, self.n + 1)}
-                    self._verify(model)
+                    check_model(self.cnf, model)
                     return "sat", model
                 self.decide()
-
-    def _verify(self, model: dict[int, bool]) -> None:
-        for clause in self.cnf.clauses:
-            if not any(model[abs(lit)] == (lit > 0) for lit in clause):
-                raise RuntimeError(
-                    f"internal error: model does not satisfy clause {clause}"
-                )
 
 
 def solve(cnf: Cnf, init: list[float], config: SolverConfig | None = None) -> SolveOutcome:

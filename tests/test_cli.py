@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +13,8 @@ from satgp.cnf import (
     read_mapping,
     write_dimacs,
 )
-from satgp.harness import BUNDLED_3SAT
+from satgp.harness import BUNDLED_3SAT, config_hash
+from satgp.solver import SolverConfig
 
 
 @pytest.fixture
@@ -301,6 +304,43 @@ class TestValidateCommand:
         a = strip_time_columns(read_lines(workdir / "vn" / "validation.csv"))
         b = strip_time_columns(read_lines(workdir / "vr" / "validation.csv"))
         assert a == b
+
+
+class TestManifests:
+    # (argv before --out with {a}/{b} for the two input files, exit code,
+    #  master seed, solver config or None, inputs recorded)
+    CASES = {
+        "solve": (["solve", "{a}", "--solver-seed", "2"], EXIT_UNSAT,
+                  2, SolverConfig(rng_seed=2), ["{a}"]),
+        "histogram": (["histogram", "{a}", "--samples", "3", "--seed", "5"], 0,
+                      5, SolverConfig(), ["{a}"]),
+        "evolve": (["evolve", "{a}", "{b}", "--pop", "4", "--gens", "0",
+                    "--seed", "7", "--var-decay", "0.9"], 0,
+                   7, SolverConfig(var_decay=0.9), ["{a}", "{b}"]),
+        "reorder": (["reorder", "{a}", "--seed", "9"], 0, 9, None, ["{a}"]),
+        "validate": (["validate", "preset:add_lc", "{a}", "{b}",
+                      "--solver-seed", "1"], 0,
+                     1, SolverConfig(rng_seed=1), ["{a}", "{b}"]),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_manifest_records_run(self, command, bundled_file, workdir, capsys):
+        other = workdir / "other.cnf"
+        other.write_text(write_dimacs(random_3sat(20, 85, seed=77)))
+        files = {"a": bundled_file, "b": str(other)}
+        argv, code, seed, config, inputs = self.CASES[command]
+        argv = [arg.format(**files) for arg in argv]
+        out = workdir / "out"
+        assert main(argv + ["--out", str(out)]) == code
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["master_seed"] == seed
+        assert manifest["config_hash"] == ("" if config is None else config_hash(config))
+        paths = [path.format(**files) for path in inputs]
+        assert manifest["inputs"] == {
+            path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in paths
+        }
+        assert manifest["flags"]["out"] == str(out)
 
 
 class TestGen:

@@ -29,11 +29,9 @@ from satgp.rng import SplitMix64
 from satgp.solver import SolverConfig, solve_with_baseline
 
 
-def small_cases(normalize_init=False) -> FitnessCaseSet:
+def small_cases() -> FitnessCaseSet:
     cnf = random_3sat(20, 85, seed=77)
-    return FitnessCaseSet.from_cnfs(
-        [("case0", cnf)], SolverConfig(rng_seed=1), normalize_init
-    )
+    return FitnessCaseSet.from_cnfs([("case0", cnf)], SolverConfig(rng_seed=1))
 
 
 def small_config(**overrides) -> GpConfig:
@@ -146,12 +144,6 @@ class TestEvaluate:
         b = evaluate(Individual(prog), cases)
         assert a.fitness == b.fitness
         assert a.per_case == b.per_case
-
-    def test_normalize_flag_cannot_change_trace(self):
-        prog = parse_program("IN: sub(xp)")
-        raw = evaluate(Individual(prog), small_cases(normalize_init=False))
-        norm = evaluate(Individual(prog), small_cases(normalize_init=True))
-        assert raw.per_case == norm.per_case
 
     def test_rejects_trivial_fitness_case(self):
         from satgp.cnf import Cnf

@@ -138,9 +138,7 @@ class TestValidation:
         cnf = bundled_cnf()
         program = parse_program("IN: sub(xp)")
         report = run_validation(program, [("bundled", cnf)], CONFIG)
-        cases = FitnessCaseSet.from_cnfs(
-            [("bundled", cnf)], CONFIG, normalize_init=True
-        )
+        cases = FitnessCaseSet.from_cnfs([("bundled", cnf)], CONFIG)
         ind = evaluate(Individual(program), cases)
         assert report.rows[0].program_conflicts == ind.per_case[0][0]
         assert report.rows[0].program_decisions == ind.per_case[0][1]

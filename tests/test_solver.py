@@ -44,6 +44,21 @@ class TestBasics:
         with pytest.raises(ValueError, match="var_decay"):
             solve_with_baseline(Cnf.from_lists(1, [[1]]), SolverConfig(var_decay=1.5))
 
+    # Each value would hang in restarts or divide by zero mid-search;
+    # validate() rejects it before a search starts.
+    @pytest.mark.parametrize("field,value", [
+        ("restart_factor", 0.0),
+        ("restart_factor", 0.5),
+        ("learnt_db_growth", 0.9),
+        ("learnt_db_initial_fraction", 0.0),
+        ("learnt_db_initial_fraction", -0.1),
+        ("clause_decay", 0.0),
+        ("clause_decay", 1.5),
+    ])
+    def test_bad_search_schedule_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value}).validate()
+
     def test_baseline_is_zero_init(self):
         cnf = random_3sat(15, 60, seed=3)
         a = solve_with_baseline(cnf)
@@ -137,6 +152,19 @@ class TestScalingInvariance:
         for factor in (3.0, 7.0, 100.0):
             scaled = [a * factor for a in init]
             assert counts(solve(cnf, scaled)) == reference
+
+
+    def test_monotone_nonlinear_map_can_change_trace(self):
+        # Order is not all that matters: x -> x**5 keeps the order of a
+        # uniform init but changes the magnitudes that bumps add to.
+        cnf = random_3sat(75, 320, seed=1)
+        changed = 0
+        for seed in range(10):
+            rng = SplitMix64(seed)
+            init = [rng.uniform(0.0, 1.0) for _ in range(75)]
+            fifth = [a**5 for a in init]
+            changed += solve(cnf, init).conflicts != solve(cnf, fifth).conflicts
+        assert changed >= 1
 
 
 class TestConfigKnobs:
