@@ -140,11 +140,11 @@ def cmd_solve(args) -> int:
     print(f"c forced={len(forced)} preprocess={verdict}")
 
     if verdict == "unsatisfiable":
+        sat = False
         print("s UNSATISFIABLE")
         print("c conflicts=0 decisions=0 propagations=0")
-        return EXIT_UNSAT
-
-    if verdict == "satisfied":
+    elif verdict == "satisfied":
+        sat = True
         model = {v: False for v in range(1, cnf.num_vars + 1)}
         for lit in forced:
             model[abs(lit)] = lit > 0
@@ -153,30 +153,28 @@ def cmd_solve(args) -> int:
         print("c conflicts=0 decisions=0 propagations=0")
         if args.model:
             _print_model(model)
-        return EXIT_SAT
-
-    init = _build_init(args, reduced)
-    outcome = solve(reduced, init, config)
-    if outcome.verdict == "sat":
-        model = dict(outcome.model)
-        for lit in forced:  # forced assignments win over solver's defaults
-            model[abs(lit)] = lit > 0
-        check_model(cnf, model)
-        print("s SATISFIABLE")
     else:
-        model = None
-        print("s UNSATISFIABLE")
-    print(
-        f"c conflicts={outcome.conflicts} decisions={outcome.decisions}"
-        f" propagations={outcome.propagations}"
-    )
-    print(f"c wall_time={outcome.wall_time:.6f}")
-    if args.model and model is not None:
-        _print_model(model)
+        outcome = solve(reduced, _build_init(args, reduced), config)
+        sat = outcome.verdict == "sat"
+        if sat:
+            model = dict(outcome.model)
+            for lit in forced:  # forced assignments win over solver's defaults
+                model[abs(lit)] = lit > 0
+            check_model(cnf, model)
+            print("s SATISFIABLE")
+        else:
+            print("s UNSATISFIABLE")
+        print(
+            f"c conflicts={outcome.conflicts} decisions={outcome.decisions}"
+            f" propagations={outcome.propagations}"
+        )
+        print(f"c wall_time={outcome.wall_time:.6f}")
+        if args.model and sat:
+            _print_model(model)
 
     if args.out:
         _write_manifest(args, config, args.solver_seed, [args.file])
-    return EXIT_SAT if outcome.verdict == "sat" else EXIT_UNSAT
+    return EXIT_SAT if sat else EXIT_UNSAT
 
 
 def _build_init(args, reduced: Cnf) -> list[float]:

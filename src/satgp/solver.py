@@ -24,8 +24,13 @@ driven by clause activities.  There is no timeout; the solver always runs
 to completion and the returned model is verified against the input
 clauses before it is returned.
 
-Intended for desk-scale experiments: data structures are plain Python and
-decisions scan the variable range linearly.
+Data structures follow MiniSat (Een & Sorensson, SAT 2003) in plain
+Python lists.  The truth values and the watch lists are indexed by signed
+literal: with 2n+1 entries, Python's negative indexing puts literal -v at
+2n+1-v, so reading a literal needs no abs().  Decisions scan the variable
+range linearly, and there are no blocker literals and no order heap,
+because both would change the watch order or the random draws, and so the
+trace.  Intended for desk-scale experiments.
 """
 
 from __future__ import annotations
@@ -71,6 +76,10 @@ class SolverConfig:
             raise ValueError("learnt_db_initial_fraction must be > 0")
         if not 0.0 < self.clause_decay <= 1.0:
             raise ValueError("clause_decay must be in (0, 1]")
+        # Normalized activities start in [-1, 1] and var_inc at 1, so a
+        # threshold <= 1 rescales on every bump; inf or NaN never does.
+        if not (math.isfinite(self.rescale_threshold) and self.rescale_threshold > 1.0):
+            raise ValueError("rescale_threshold must be finite and > 1")
 
 
 @dataclass
@@ -104,13 +113,17 @@ class _Search:
         self.activity = [0.0] + acts
         self.var_inc = 1.0
         self.cla_inc = 1.0
-        self.assigns: list[bool | None] = [None] * (n + 1)
+        # Indexed by signed literal (-v lands at 2n+1-v): True, False or
+        # None for unassigned; both signs are set and cleared together.
+        self.val: list[bool | None] = [None] * (2 * n + 1)
         self.level = [0] * (n + 1)
+        # reason[v] is meaningful only while v is assigned.
         self.reason: list[_Clause | None] = [None] * (n + 1)
+        self.seen = [False] * (n + 1)  # all False between analyze calls
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.watches: dict[int, list[_Clause]] = {}
+        self.watches: list[list[_Clause]] = [[] for _ in range(2 * n + 1)]
         self.learnts: list[_Clause] = []
         self.rng = SplitMix64(config.rng_seed)
         self.conflicts = 0
@@ -119,15 +132,10 @@ class _Search:
 
     # -- assignment plumbing -------------------------------------------------
 
-    def value(self, lit: int) -> bool | None:
-        a = self.assigns[abs(lit)]
-        if a is None:
-            return None
-        return a if lit > 0 else not a
-
     def enqueue(self, lit: int, reason: _Clause | None) -> None:
+        self.val[lit] = True
+        self.val[-lit] = False
         v = abs(lit)
-        self.assigns[v] = lit > 0
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
@@ -136,64 +144,85 @@ class _Search:
         if len(self.trail_lim) <= target_level:
             return
         bound = self.trail_lim[target_level]
-        for i in range(len(self.trail) - 1, bound - 1, -1):
-            v = abs(self.trail[i])
-            self.assigns[v] = None
-            self.reason[v] = None
+        val = self.val
+        for lit in self.trail[bound:]:
+            val[lit] = None
+            val[-lit] = None
         del self.trail[bound:]
         del self.trail_lim[target_level:]
         self.qhead = len(self.trail)
 
     # -- clause plumbing -----------------------------------------------------
 
-    def watch(self, lit: int, clause: _Clause) -> None:
-        self.watches.setdefault(lit, []).append(clause)
-
     def attach(self, clause: _Clause) -> None:
-        self.watch(clause.lits[0], clause)
-        self.watch(clause.lits[1], clause)
-
-    def detach(self, clause: _Clause) -> None:
-        self.watches[clause.lits[0]].remove(clause)
-        self.watches[clause.lits[1]].remove(clause)
+        self.watches[clause.lits[0]].append(clause)
+        self.watches[clause.lits[1]].append(clause)
 
     def locked(self, clause: _Clause) -> bool:
-        return self.reason[abs(clause.lits[0])] is clause
+        first = clause.lits[0]
+        return self.val[first] is not None and self.reason[abs(first)] is clause
 
     # -- propagation ---------------------------------------------------------
 
     def propagate(self) -> _Clause | None:
-        """Process the trail queue; return a conflicting clause or None."""
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            watchers = self.watches.get(-p)
+        """Process the trail queue; return a conflicting clause or None.
+
+        A visited clause first moves its falsified watch to lits[1].  The
+        loop is inlined because it takes most of a search's time.
+        """
+        trail = self.trail
+        val = self.val
+        watches = self.watches
+        level = self.level
+        reason = self.reason
+        depth = len(self.trail_lim)
+        qhead = self.qhead
+        props = 0
+        confl = None
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            watchers = watches[false_lit]
             if not watchers:
                 continue
-            self.watches[-p] = []
-            keep = self.watches[-p]
+            keep: list[_Clause] = []
+            watches[false_lit] = keep
             for idx, clause in enumerate(watchers):
                 lits = clause.lits
-                if lits[0] == -p:
-                    lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                if self.value(first) is True:
+                if first == false_lit:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = false_lit
+                if val[first] is True:
                     keep.append(clause)
                     continue
                 for k in range(2, len(lits)):
-                    if self.value(lits[k]) is not False:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self.watch(lits[1], clause)
+                    lit = lits[k]
+                    if val[lit] is not False:
+                        lits[1] = lit
+                        lits[k] = false_lit
+                        watches[lit].append(clause)
                         break
                 else:
                     keep.append(clause)
-                    if self.value(first) is False:
+                    if val[first] is False:
                         keep.extend(watchers[idx + 1 :])
-                        self.qhead = len(self.trail)
-                        return clause
-                    self.enqueue(first, clause)
-                    self.propagations += 1
-        return None
+                        confl = clause
+                        qhead = len(trail)
+                        break
+                    val[first] = True
+                    val[-first] = False
+                    v = first if first > 0 else -first
+                    level[v] = depth
+                    reason[v] = clause
+                    trail.append(first)
+                    props += 1
+            if confl is not None:
+                break
+        self.qhead = qhead
+        self.propagations += props
+        return confl
 
     # -- activities ----------------------------------------------------------
 
@@ -219,48 +248,54 @@ class _Search:
         The asserting literal ends up at position 0 and a literal from the
         backjump level at position 1.
         """
-        seen = [False] * (self.n + 1)
+        seen = self.seen
+        level = self.level
+        reason = self.reason
+        trail = self.trail
         learnt: list[int] = [0]  # placeholder for the asserting literal
         counter = 0
         p = 0
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
         current = len(self.trail_lim)
         clause = confl
 
         while True:
             if clause.learnt:
                 self.bump_clause(clause)
-            start = 0 if p == 0 else 1  # lits[0] is the resolved literal
-            for j in range(start, len(clause.lits)):
-                q = clause.lits[j]
+            lits = clause.lits
+            for q in lits if p == 0 else lits[1:]:  # lits[0] is the resolved literal
                 v = abs(q)
-                if not seen[v] and self.level[v] > 0:
+                if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    if self.level[v] == current:
+                    if level[v] == current:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[abs(self.trail[idx])]:
+            while not seen[abs(trail[idx])]:
                 idx -= 1
-            p = self.trail[idx]
+            p = trail[idx]
             v = abs(p)
             seen[v] = False
             counter -= 1
             if counter == 0:
                 break
-            clause = self.reason[v]
+            clause = reason[v]
             idx -= 1
 
+        # Every current-level mark was cleared as its variable was resolved;
+        # the rest are exactly the learnt clause's other variables.
+        for q in learnt[1:]:
+            seen[abs(q)] = False
         learnt[0] = -p
         if len(learnt) == 1:
             bt_level = 0
         else:
             max_i = 1
             for i in range(2, len(learnt)):
-                if self.level[abs(learnt[i])] > self.level[abs(learnt[max_i])]:
+                if level[abs(learnt[i])] > level[abs(learnt[max_i])]:
                     max_i = i
             learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-            bt_level = self.level[abs(learnt[1])]
+            bt_level = level[abs(learnt[1])]
         return learnt, bt_level
 
     # -- learned clause database ----------------------------------------------
@@ -270,36 +305,36 @@ class _Search:
 
         Binary and locked (currently-reason) clauses are kept; the
         surviving half is additionally filtered against cla_inc/len.
+        The dropped clauses leave their watch lists in one filtering pass
+        per affected literal, which keeps the order of the other watchers.
         """
         self.learnts.sort(key=lambda c: c.activity)
         extra_lim = self.cla_inc / len(self.learnts)
         half = len(self.learnts) // 2
         kept: list[_Clause] = []
+        dropped: set[_Clause] = set()
         for i, clause in enumerate(self.learnts):
             removable = len(clause.lits) > 2 and not self.locked(clause)
             if removable and (i < half or clause.activity < extra_lim):
-                self.detach(clause)
+                dropped.add(clause)
             else:
                 kept.append(clause)
         self.learnts = kept
+        watches = self.watches
+        for lit in {w for c in dropped for w in c.lits[:2]}:
+            watches[lit] = [c for c in watches[lit] if c not in dropped]
 
     # -- search --------------------------------------------------------------
 
     def decide(self) -> None:
-        unassigned = [v for v in range(1, self.n + 1) if self.assigns[v] is None]
+        val = self.val
+        unassigned = [v for v in range(1, self.n + 1) if val[v] is None]
         if self.rng.random() < self.config.random_decision_freq:
             v = unassigned[self.rng.randrange(len(unassigned))]
         else:
-            best = -math.inf
-            ties: list[int] = []
             act = self.activity
-            for v in unassigned:
-                a = act[v]
-                if a > best:
-                    best = a
-                    ties = [v]
-                elif a == best:
-                    ties.append(v)
+            best = max([act[v] for v in unassigned])
+            ties = [v for v in unassigned if act[v] == best]
             v = ties[0] if len(ties) == 1 else ties[self.rng.randrange(len(ties))]
         self.decisions += 1
         self.trail_lim.append(len(self.trail))
@@ -311,10 +346,9 @@ class _Search:
                 return "unsat", None
             if len(clause_lits) == 1:
                 lit = clause_lits[0]
-                val = self.value(lit)
-                if val is False:
+                if self.val[lit] is False:
                     return "unsat", None
-                if val is None:
+                if self.val[lit] is None:
                     self.enqueue(lit, None)
             else:
                 self.attach(_Clause(list(clause_lits)))
@@ -355,7 +389,7 @@ class _Search:
                 if len(self.learnts) - len(self.trail) >= max_learnts:
                     self.reduce_db()
                 if len(self.trail) == self.n:
-                    model = {v: bool(self.assigns[v]) for v in range(1, self.n + 1)}
+                    model = {v: self.val[v] for v in range(1, self.n + 1)}
                     check_model(self.cnf, model)
                     return "sat", model
                 self.decide()

@@ -342,6 +342,24 @@ class TestManifests:
         }
         assert manifest["flags"]["out"] == str(out)
 
+    @pytest.mark.parametrize("text,verdict,code", [
+        ("p cnf 2 2\n1 0\n-1 2 0\n", "satisfied", EXIT_SAT),
+        ("p cnf 1 2\n1 0\n-1 0\n", "unsatisfiable", EXIT_UNSAT),
+    ])
+    def test_solve_decided_by_preprocessing_writes_manifest(
+        self, workdir, capsys, text, verdict, code
+    ):
+        path = workdir / "units.cnf"
+        path.write_text(text)
+        out = workdir / "out"
+        assert main(["solve", str(path), "--out", str(out)]) == code
+        assert f"preprocess={verdict}" in capsys.readouterr().out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "solve"
+        assert manifest["inputs"] == {
+            str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+        }
+
 
 class TestGen:
     def test_deterministic_files(self, workdir, capsys):

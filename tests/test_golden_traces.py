@@ -5,17 +5,28 @@ A trace is the (verdict, conflicts, decisions, propagations) result of one
 a change that moves any of them alters results and is not a refactor.
 The evolution case also pins the GP random stream: one changed draw in
 step_steady_state changes every later generation.
+
+golden_traces.json pins a random 3-SAT corpus, plus configs that reach
+the solver's rarely taken branches (activity rescales, random decisions,
+short restarts).  Regenerate it only on purpose, and say so:
+
+    PYTHONPATH=src python3 tests/test_golden_traces.py --regenerate
 """
 
 import dataclasses
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
-from satgp.cnf import compute_var_stats, preprocess_bcp
+from satgp.cnf import compute_var_stats, preprocess_bcp, random_3sat
 from satgp.gp import FitnessCaseSet, GpConfig, run_evolution
-from satgp.harness import bundled_cnf
-from satgp.lang import compute_activities, preset_program
+from satgp.harness import bundled_cnf, random_init
+from satgp.lang import PRESETS, compute_activities, preset_program
 from satgp.solver import SolverConfig, solve
+
+GOLDEN_FILE = Path(__file__).with_name("golden_traces.json")
 
 # (solver seed, init) -> trace on the bundled instance after preprocess_bcp.
 GOLDEN_TRACES = {
@@ -66,3 +77,57 @@ def test_tiny_evolution():
     assert best.fitness == GOLDEN_BEST_FITNESS
     assert best.per_case == GOLDEN_BEST_PER_CASE
     assert [dataclasses.astuple(rec) for rec in log] == GOLDEN_GENERATIONS
+
+
+def corpus_cases():
+    """Yield (key, cnf, init, config) for every trace in golden_traces.json.
+
+    Every preset and three uniform random inits in [-1, 1) on random 3-SAT
+    at 50, 75 and 100 variables (ratio 4.26, seed 7), each at solver seeds
+    0 and 1; the longer of these searches run reduce_db at the default
+    fraction.  The zero init on random_3sat(100, 426, 1) then takes each config that
+    forces a branch: rescale_threshold=1e10 (one variable rescale),
+    clause_decay=0.5 (clause rescales), random_decision_freq=0.2 and
+    restart_first=10.
+    """
+    for n in (50, 75, 100):
+        cnf, verdict, _ = preprocess_bcp(random_3sat(n, round(4.26 * n), 7))
+        assert verdict == "reduced"
+        stats = compute_var_stats(cnf)
+        inits = {
+            name: compute_activities(preset_program(name), cnf, stats)
+            for name in sorted(PRESETS)
+        }
+        for seed in (1, 2, 3):
+            inits[f"random{seed}"] = random_init(cnf.num_vars, seed, -1.0, 1.0)
+        for name, init in inits.items():
+            for rng_seed in (0, 1):
+                yield f"3sat{n}/{name}/seed{rng_seed}", cnf, init, SolverConfig(rng_seed=rng_seed)
+    cnf = preprocess_bcp(random_3sat(100, 426, 1))[0]
+    for field, value in [
+        ("rescale_threshold", 1e10),
+        ("clause_decay", 0.5),
+        ("random_decision_freq", 0.2),
+        ("restart_first", 10),
+    ]:
+        config = SolverConfig(**{field: value})
+        yield f"3sat100s1/zero/{field}={value}", cnf, [0.0] * cnf.num_vars, config
+
+
+def corpus_traces() -> dict[str, list]:
+    traces = {}
+    for key, cnf, init, config in corpus_cases():
+        out = solve(cnf, init, config)
+        traces[key] = [out.verdict, out.conflicts, out.decisions, out.propagations]
+    return traces
+
+
+def test_corpus_traces():
+    assert corpus_traces() == json.loads(GOLDEN_FILE.read_text())
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        sys.exit("usage: PYTHONPATH=src python3 tests/test_golden_traces.py --regenerate")
+    lines = [f" {json.dumps(k)}: {json.dumps(v)}" for k, v in corpus_traces().items()]
+    GOLDEN_FILE.write_text("{\n" + ",\n".join(lines) + "\n}\n")

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_random_cnf
 from satgp.cnf import Cnf, random_3sat
@@ -251,18 +251,17 @@ class TestNormalize:
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=30))
+    @example([2.0, 5e-324, 0.0])  # the subnormal underflows to a tie with 0.0
     def test_properties(self, values):
         result = normalize(values)
         assert len(result) == len(values)
         if any(v != 0.0 for v in values):
             assert max(abs(r) for r in result) == 1.0
             assert all(-1.0 <= r <= 1.0 for r in result)
+        # Magnitude order is kept weakly: division can round distinct
+        # magnitudes to a tie, never swap them.
         ranked_in = sorted(range(len(values)), key=lambda i: abs(values[i]))
-        ranked_out = sorted(range(len(result)), key=lambda i: abs(result[i]))
-        assert [abs(values[i]) for i in ranked_in] == sorted(abs(v) for v in values)
-        assert ranked_in == ranked_out or sorted(
-            abs(result[i]) for i in ranked_out
-        ) == [abs(r) for r in ranked_out]
+        assert [abs(result[i]) for i in ranked_in] == sorted(abs(r) for r in result)
 
     def test_idempotent_bitwise(self):
         rng = SplitMix64(126)

@@ -44,7 +44,8 @@ class TestBasics:
         with pytest.raises(ValueError, match="var_decay"):
             solve_with_baseline(Cnf.from_lists(1, [[1]]), SolverConfig(var_decay=1.5))
 
-    # Each value would hang in restarts or divide by zero mid-search;
+    # Each value would hang in restarts, divide by zero mid-search, rescale
+    # activities on every bump (threshold <= 1) or never (inf, NaN);
     # validate() rejects it before a search starts.
     @pytest.mark.parametrize("field,value", [
         ("restart_factor", 0.0),
@@ -54,6 +55,11 @@ class TestBasics:
         ("learnt_db_initial_fraction", -0.1),
         ("clause_decay", 0.0),
         ("clause_decay", 1.5),
+        ("rescale_threshold", 0.0),
+        ("rescale_threshold", -1.0),
+        ("rescale_threshold", 1.0),
+        ("rescale_threshold", float("nan")),
+        ("rescale_threshold", float("inf")),
     ])
     def test_bad_search_schedule_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
