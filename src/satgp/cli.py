@@ -45,6 +45,7 @@ from .gp import (
 )
 from .harness import (
     config_hash,
+    csv_header_comment,
     histogram_csv,
     run_histogram,
     run_validation,
@@ -264,7 +265,9 @@ def cmd_evolve(args) -> int:
     resume_kwargs = {}
     if args.resume:
         with open(args.resume) as fh:
-            population, generation, rng = load_checkpoint(fh.read())
+            population, generation, rng = load_checkpoint(
+                fh.read(), cases, gp_config.population_size
+            )
         resume_kwargs = {
             "population": population,
             "start_generation": generation,
@@ -277,7 +280,7 @@ def cmd_evolve(args) -> int:
 
     out_dir = _out_dir(args)
     _write(out_dir, "best_program.txt", print_program(best.program) + "\n")
-    log_lines = [f"# config-hash={config_hash(solver_config)} master-seed={args.seed}"]
+    log_lines = [csv_header_comment(config_hash(solver_config), args.seed)]
     log_lines.append("gen,best_fitness,mean_fitness,best_nodes,best_program")
     for rec in log:
         prog = rec.best_program.replace('"', '""')
@@ -289,7 +292,7 @@ def cmd_evolve(args) -> int:
     _write(
         out_dir,
         "checkpoint.txt",
-        save_checkpoint(state["population"], state["generation"], state["rng"]),
+        save_checkpoint(state["population"], state["generation"], state["rng"], cases),
     )
     _write_manifest(args, solver_config, args.seed, args.files)
     print(f"best fitness {best.fitness!r} with {best.node_count} nodes:")
@@ -385,9 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="zero | preset:<name> | file:<path>"
         f" (presets: {', '.join(sorted(PRESETS))})",
     )
-    p.add_argument("--normalize", action="store_true",
-                   help="accepted and recorded; cannot change the search,"
-                   " since the solver normalizes every initialization")
     p.add_argument("--model", action="store_true", help="print v lines when SAT")
     p.add_argument("--out", default=None, help="write manifest.json here")
     _add_solver_flags(p)
@@ -408,9 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pop", type=int, default=1000)
     p.add_argument("--gens", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--normalize", action="store_true",
-                   help="accepted and recorded; cannot change the search,"
-                   " since the solver normalizes every initialization")
     p.add_argument("--resume", default=None, help="continue from a checkpoint file")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
@@ -426,9 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="compare a program against the baseline")
     p.add_argument("program", help="preset:<name> or a program text file")
     p.add_argument("files", nargs="+")
-    p.add_argument("--no-normalize", action="store_true",
-                   help="accepted and recorded; cannot change the search,"
-                   " since the solver normalizes every initialization")
     p.add_argument("--out", default=None)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_validate)

@@ -22,11 +22,13 @@ evaluation is deterministic.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .cnf import Cnf, VarStats, compute_var_stats, preprocess_bcp
+from .cnf import Cnf, VarStats, compute_var_stats, preprocess_bcp, write_dimacs
+from .harness import config_hash
 from .lang import (
     FUNCTIONS,
     TERMINALS_BY_FRAGMENT,
@@ -69,6 +71,8 @@ class GpConfig:
             raise ValueError("creation_max_depth must be >= 2 (ramp starts at 2)")
         if self.crossover_max_depth < self.creation_max_depth:
             raise ValueError("crossover_max_depth must be >= creation_max_depth")
+        if self.generations < 0:
+            raise ValueError("generations must be >= 0")
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
         if not 1 <= self.tournament_size <= self.population_size:
@@ -119,6 +123,13 @@ class FitnessCaseSet:
         if not cases:
             raise ValueError("at least one fitness case is required")
         return FitnessCaseSet(cases, solver_config)
+
+    def digest(self) -> str:
+        """16-hex-digit digest of the preprocessed formulas, in case order."""
+        h = hashlib.sha256()
+        for case in self.cases:
+            h.update(write_dimacs(case.cnf).encode())
+        return h.hexdigest()[:16]
 
 
 def fitness(per_case, node_count: int) -> float:
@@ -421,26 +432,51 @@ def run_evolution(
 # Checkpoints
 
 
-def save_checkpoint(population, generation: int, rng: SplitMix64) -> str:
+def _checkpoint_fields(population_size: int, cases: FitnessCaseSet) -> dict:
+    return {
+        "population_size": str(population_size),
+        "config_hash": config_hash(cases.solver_config),
+        "cases_digest": cases.digest(),
+    }
+
+
+def save_checkpoint(population, generation: int, rng: SplitMix64, cases: FitnessCaseSet) -> str:
     """Serialize a population so an evolution run can be resumed.
 
     One line per individual: fitness TAB program text.  The header keeps
     the generation number and the RNG state, so a resumed run continues
-    the exact random stream of an uninterrupted one.
+    the exact random stream of an uninterrupted one, plus the population
+    size, the solver-config hash and the digest of the fitness cases the
+    fitness values were measured on.
     """
-    lines = [f"# generation={generation} rng_state={rng.state}"]
+    fields = {
+        "generation": generation,
+        "rng_state": rng.state,
+        **_checkpoint_fields(len(population), cases),
+    }
+    lines = ["# " + " ".join(f"{key}={value}" for key, value in fields.items())]
     for ind in population:
         lines.append(f"{ind.fitness!r}\t{print_program(ind.program)}")
     return "\n".join(lines) + "\n"
 
 
-def load_checkpoint(text: str):
-    """Inverse of save_checkpoint; returns (population, generation, rng)."""
+def load_checkpoint(text: str, cases: FitnessCaseSet, population_size: int):
+    """Inverse of save_checkpoint; returns (population, generation, rng).
+
+    Raises ValueError, naming the field, when the checkpoint was made for
+    another population size, solver configuration or set of fitness cases.
+    """
     lines = text.splitlines()
-    header = lines[0]
+    header = lines[0] if lines else ""
     if not header.startswith("# generation="):
         raise ValueError("not a population checkpoint")
     fields = dict(part.split("=") for part in header[2:].split())
+    for key, expected in _checkpoint_fields(population_size, cases).items():
+        if fields.get(key) != expected:
+            raise ValueError(
+                f"checkpoint {key} is {fields.get(key, 'missing')},"
+                f" this run has {expected}"
+            )
     generation = int(fields["generation"])
     rng = SplitMix64(0)
     rng.state = int(fields["rng_state"])

@@ -302,14 +302,14 @@ def run_validation(
 # CSV artifacts
 
 
-def _csv_header_comment(cfg_hash: str, master_seed: int) -> str:
+def csv_header_comment(cfg_hash: str, master_seed: int) -> str:
     return f"# config-hash={cfg_hash} master-seed={master_seed}"
 
 
 def histogram_csv(report: HistogramReport) -> str:
     """percent,count rows sorted by percent."""
     buf = io.StringIO()
-    buf.write(_csv_header_comment(report.baseline.config_hash, report.master_seed) + "\n")
+    buf.write(csv_header_comment(report.baseline.config_hash, report.master_seed) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["percent", "count"])
     for percent in sorted(report.bins):
@@ -319,7 +319,7 @@ def histogram_csv(report: HistogramReport) -> str:
 
 def samples_csv(report: HistogramReport) -> str:
     buf = io.StringIO()
-    buf.write(_csv_header_comment(report.baseline.config_hash, report.master_seed) + "\n")
+    buf.write(csv_header_comment(report.baseline.config_hash, report.master_seed) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["sample_id", "seed", "conflicts", "decisions", "percent"])
     for row in report.rows:
@@ -329,7 +329,7 @@ def samples_csv(report: HistogramReport) -> str:
 
 def validation_csv(report: ValidationReport, master_seed: int) -> str:
     buf = io.StringIO()
-    buf.write(_csv_header_comment(report.config_hash, master_seed) + "\n")
+    buf.write(csv_header_comment(report.config_hash, master_seed) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
         [

@@ -19,6 +19,13 @@ by anything smaller in magnitude than 1e-9 returns the positive or
 negative limit according to the numerator's sign (sign of 0 counts as
 positive).  Every function is total, so evaluation cannot fail at runtime.
 
+Each primitive is defined once: the terminals in TERMINALS_BY_FRAGMENT,
+the functions in the evaluation tables _A0_WRITERS (add sub mul div set)
+and _PURE (inv .. progn3) plus the three special forms of eval_node (the
+lazy `if`, setv1, setv2).  The FUNCTIONS arity table is derived from
+them, and the text format's infix operators (+ - * %) come from one
+table, _INFIX, shared by parser and printer.
+
 `compute_activities` sweeps the clause list once, updating per-variable
 register banks; `reference_compute_activities` is the naive per-variable
 double loop kept as an independent oracle.  Both must agree bitwise.
@@ -27,6 +34,7 @@ double loop kept as an independent oracle.  Both must agree bitwise.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .cnf import Cnf, VarStats, compute_var_stats
@@ -47,26 +55,7 @@ TERMINALS_BY_FRAGMENT = {
 }
 
 _CONSTANTS = {"0": 0.0, "1": 1.0, "2": 2.0, "3": 3.0, "4": 4.0}
-
-# Function name -> arity.  plus/minus/times/pdiv are the pure infix
-# arithmetics (+ - * %); pdiv is protected division and does not touch a0,
-# unlike div() which assigns a0.
-FUNCTIONS = {
-    "add": 1, "sub": 1, "mul": 1, "div": 1, "set": 1,
-    "setv1": 1, "setv2": 1,
-    "inv": 1, "neg": 1, "exp": 1, "log": 1, "sgn": 1, "sqrt": 1, "abs": 1,
-    "progn2": 2, "min": 2, "max": 2,
-    "and": 2, "or": 2, "xor": 2, "lessthan": 2,
-    "plus": 2, "minus": 2, "times": 2, "pdiv": 2,
-    "progn3": 3, "if": 3,
-}
-
-SIDE_EFFECT_FUNCTIONS = frozenset(
-    {"add", "sub", "mul", "div", "set", "setv1", "setv2"}
-)
-
-_INFIX_SYMBOL = {"plus": "+", "minus": "-", "times": "*", "pdiv": "%"}
-_INFIX_PRECEDENCE = {"plus": 1, "minus": 1, "times": 2, "pdiv": 2}
+_REGISTERS = frozenset({"a0", "v1", "v2"})
 
 FRAGMENT_NAMES = ("pre", "in", "post")
 
@@ -219,6 +208,57 @@ def _clamp(x: float) -> float:
     return x
 
 
+def _div(x: float, y: float) -> float:
+    """Protected division: a near-zero divisor gives the limit with x's sign."""
+    if -DIV_EPSILON < y < DIV_EPSILON:
+        return CLAMP_LIMIT if x >= 0 else -CLAMP_LIMIT
+    return _clamp(x / y)
+
+
+# a0 := f(a0, v), where v is the child's value, computed first because the
+# child may itself write a0.  The new a0 is the return value.
+_A0_WRITERS = {
+    "add": lambda a0, v: _clamp(a0 + v),
+    "sub": lambda a0, v: _clamp(a0 - v),
+    "mul": lambda a0, v: _clamp(a0 * v),
+    "div": _div,
+    "set": lambda a0, v: _clamp(v),
+}
+
+# Pure functions of their children's values, all evaluated left to right.
+# plus/minus/times/pdiv are the infix + - * %; pdiv does not touch a0.
+_PURE = {
+    "inv": lambda v: _div(1.0, v),
+    "neg": lambda v: _clamp(-v),
+    # math.exp overflows above ~709.78
+    "exp": lambda v: CLAMP_LIMIT if v > 709.0 else _clamp(math.exp(v)),
+    "log": lambda v: -CLAMP_LIMIT if v <= 0.0 else _clamp(math.log(v)),
+    "sgn": lambda v: -1.0 if v < 0.0 else (1.0 if v > 0.0 else 0.0),
+    "sqrt": lambda v: -1.0 if v < 0.0 else _clamp(math.sqrt(v)),
+    "abs": lambda v: _clamp(abs(v)),
+    "progn2": lambda x, y: _clamp(y),
+    "min": lambda x, y: _clamp(min(x, y)),
+    "max": lambda x, y: _clamp(max(x, y)),
+    "and": lambda x, y: 1.0 if x > 0.0 and y > 0.0 else 0.0,
+    "or": lambda x, y: 1.0 if x > 0.0 or y > 0.0 else 0.0,
+    "xor": lambda x, y: 1.0 if (x > 0.0) != (y > 0.0) else 0.0,
+    "lessthan": lambda x, y: 1.0 if x < y else 0.0,
+    "plus": lambda x, y: _clamp(x + y),
+    "minus": lambda x, y: _clamp(x - y),
+    "times": lambda x, y: _clamp(x * y),
+    "pdiv": _div,
+    "progn3": lambda x, y, z: _clamp(z),
+}
+
+# Function name -> arity, in the order gp.random_tree draws from.
+FUNCTIONS = {
+    **dict.fromkeys(_A0_WRITERS, 1),
+    "setv1": 1, "setv2": 1,
+    **{name: f.__code__.co_argcount for name, f in _PURE.items()},
+    "if": 3,
+}
+
+
 def eval_node(node: Node, ctx: EvalContext, regs: Registers) -> float:
     """Evaluate one tree depth-first, left to right, with side effects.
 
@@ -233,118 +273,32 @@ def eval_node(node: Node, ctx: EvalContext, regs: Registers) -> float:
         c = _CONSTANTS.get(kind)
         if c is not None:
             return c
-        if kind == "a0":
-            return regs.a0
-        if kind == "v1":
-            return regs.v1
-        if kind == "v2":
-            return regs.v2
-        return getattr(ctx, kind)
+        return getattr(regs if kind in _REGISTERS else ctx, kind)
 
-    if kind == "add":
-        v = eval_node(ch[0], ctx, regs)  # child first: it may write a0
-        regs.a0 = _clamp(regs.a0 + v)
-        return regs.a0
-    if kind == "sub":
+    f = _PURE.get(kind)
+    if f is not None:
+        x = eval_node(ch[0], ctx, regs)
+        if len(ch) == 1:
+            return f(x)
+        y = eval_node(ch[1], ctx, regs)
+        if len(ch) == 2:
+            return f(x, y)
+        return f(x, y, eval_node(ch[2], ctx, regs))
+    f = _A0_WRITERS.get(kind)
+    if f is not None:
         v = eval_node(ch[0], ctx, regs)
-        regs.a0 = _clamp(regs.a0 - v)
+        regs.a0 = f(regs.a0, v)
         return regs.a0
-    if kind == "mul":
-        v = eval_node(ch[0], ctx, regs)
-        regs.a0 = _clamp(regs.a0 * v)
-        return regs.a0
-    if kind == "div":
-        v = eval_node(ch[0], ctx, regs)
-        if -DIV_EPSILON < v < DIV_EPSILON:
-            regs.a0 = CLAMP_LIMIT if regs.a0 >= 0 else -CLAMP_LIMIT
-        else:
-            regs.a0 = _clamp(regs.a0 / v)
-        return regs.a0
-    if kind == "set":
-        regs.a0 = _clamp(eval_node(ch[0], ctx, regs))
-        return regs.a0
+    if kind == "if":
+        cond = eval_node(ch[0], ctx, regs)
+        branch = ch[1] if cond > 0.0 else ch[2]
+        return _clamp(eval_node(branch, ctx, regs))
     if kind == "setv1":
         regs.v1 = _clamp(eval_node(ch[0], ctx, regs))
         return regs.v1
     if kind == "setv2":
         regs.v2 = _clamp(eval_node(ch[0], ctx, regs))
         return regs.v2
-    if kind == "inv":
-        v = eval_node(ch[0], ctx, regs)
-        if -DIV_EPSILON < v < DIV_EPSILON:
-            return CLAMP_LIMIT
-        return _clamp(1.0 / v)
-    if kind == "neg":
-        return _clamp(-eval_node(ch[0], ctx, regs))
-    if kind == "exp":
-        v = eval_node(ch[0], ctx, regs)
-        if v > 709.0:  # math.exp overflows above ~709.78
-            return CLAMP_LIMIT
-        return _clamp(math.exp(v))
-    if kind == "log":
-        v = eval_node(ch[0], ctx, regs)
-        if v <= 0.0:
-            return -CLAMP_LIMIT
-        return _clamp(math.log(v))
-    if kind == "sgn":
-        v = eval_node(ch[0], ctx, regs)
-        if v < 0.0:
-            return -1.0
-        return 1.0 if v > 0.0 else 0.0
-    if kind == "sqrt":
-        v = eval_node(ch[0], ctx, regs)
-        if v < 0.0:
-            return -1.0
-        return _clamp(math.sqrt(v))
-    if kind == "abs":
-        return _clamp(abs(eval_node(ch[0], ctx, regs)))
-    if kind == "progn2":
-        eval_node(ch[0], ctx, regs)
-        return _clamp(eval_node(ch[1], ctx, regs))
-    if kind == "min":
-        x = eval_node(ch[0], ctx, regs)
-        y = eval_node(ch[1], ctx, regs)
-        return _clamp(min(x, y))
-    if kind == "max":
-        x = eval_node(ch[0], ctx, regs)
-        y = eval_node(ch[1], ctx, regs)
-        return _clamp(max(x, y))
-    if kind == "and":
-        x = eval_node(ch[0], ctx, regs)
-        y = eval_node(ch[1], ctx, regs)
-        return 1.0 if x > 0.0 and y > 0.0 else 0.0
-    if kind == "or":
-        x = eval_node(ch[0], ctx, regs)
-        y = eval_node(ch[1], ctx, regs)
-        return 1.0 if x > 0.0 or y > 0.0 else 0.0
-    if kind == "xor":
-        x = eval_node(ch[0], ctx, regs)
-        y = eval_node(ch[1], ctx, regs)
-        return 1.0 if (x > 0.0) != (y > 0.0) else 0.0
-    if kind == "lessthan":
-        x = eval_node(ch[0], ctx, regs)
-        y = eval_node(ch[1], ctx, regs)
-        return 1.0 if x < y else 0.0
-    if kind == "plus":
-        return _clamp(eval_node(ch[0], ctx, regs) + eval_node(ch[1], ctx, regs))
-    if kind == "minus":
-        return _clamp(eval_node(ch[0], ctx, regs) - eval_node(ch[1], ctx, regs))
-    if kind == "times":
-        return _clamp(eval_node(ch[0], ctx, regs) * eval_node(ch[1], ctx, regs))
-    if kind == "pdiv":
-        x = eval_node(ch[0], ctx, regs)
-        y = eval_node(ch[1], ctx, regs)
-        if -DIV_EPSILON < y < DIV_EPSILON:
-            return CLAMP_LIMIT if x >= 0 else -CLAMP_LIMIT
-        return _clamp(x / y)
-    if kind == "progn3":
-        eval_node(ch[0], ctx, regs)
-        eval_node(ch[1], ctx, regs)
-        return _clamp(eval_node(ch[2], ctx, regs))
-    if kind == "if":
-        cond = eval_node(ch[0], ctx, regs)
-        branch = ch[1] if cond > 0.0 else ch[2]
-        return _clamp(eval_node(branch, ctx, regs))
     raise ProgramSyntaxError(f"unknown function {kind!r}")
 
 
@@ -367,6 +321,16 @@ def _check_in_bounds(ctx: EvalContext) -> None:
         raise RuntimeError(f"ic={ctx.ic} outside [0, xc={ctx.xc})")
     if not (0 <= ctx.il < ctx.cs - 1):
         raise RuntimeError(f"il={ctx.il} outside [0, cs-1={ctx.cs - 1})")
+
+
+def _checked_stats(prog: InitProgram, cnf: Cnf, stats: VarStats | None) -> VarStats:
+    """Shared prologue: validate the program, compute or check the stats."""
+    validate_program(prog)
+    if stats is None:
+        stats = compute_var_stats(cnf)
+    if len(stats.xc) != cnf.num_vars + 1:
+        raise ValueError("VarStats size does not match cnf.num_vars")
+    return stats
 
 
 def compute_activities(
@@ -394,22 +358,14 @@ def compute_activities(
     check_bounds validates the documented loop-terminal ranges on every IN
     execution; counters (a dict) receives 'node_evals' and 'in_executions'.
     """
-    validate_program(prog)
-    if stats is None:
-        stats = compute_var_stats(cnf)
+    stats = _checked_stats(prog, cnf, stats)
     n = cnf.num_vars
-    if len(stats.xc) != n + 1:
-        raise ValueError("VarStats size does not match cnf.num_vars")
-
     xnf = [float(x) for x in stats.xn]
     xpf = [float(x) for x in stats.xp]
     xcf = [float(x) for x in stats.xc]
-    nvf = float(n)
-    ncf = float(len(cnf.clauses))
 
     ctx = EvalContext()
-    ctx.nv = nvf
-    ctx.nc = ncf
+    ctx.nv, ctx.nc = float(n), float(len(cnf.clauses))
     regs = [Registers() for _ in range(n + 1)]
     in_runs = 0
 
@@ -421,8 +377,7 @@ def compute_activities(
 
     ic_counter = [0] * (n + 1)
     for clause in binary_first_order(cnf.clauses):
-        width = len(clause)
-        width_f = float(width)
+        width_f = float(len(clause))
         for i, lit_x in enumerate(clause):
             x = abs(lit_x)
             ctx.xn, ctx.xp, ctx.xc = xnf[x], xpf[x], xcf[x]
@@ -469,13 +424,8 @@ def reference_compute_activities(
     Deliberately naive: for each variable it walks the whole clause list
     looking for occurrences.  Must equal compute_activities bitwise.
     """
-    validate_program(prog)
-    if stats is None:
-        stats = compute_var_stats(cnf)
+    stats = _checked_stats(prog, cnf, stats)
     n = cnf.num_vars
-    if len(stats.xc) != n + 1:
-        raise ValueError("VarStats size does not match cnf.num_vars")
-
     ordered = binary_first_order(cnf.clauses)
     out = [0.0] * n
     for x in range(1, n + 1):
@@ -536,38 +486,30 @@ def normalize(acts: list[float]) -> list[float]:
 # Text format
 
 
+# A fragment label is a whole word that names a fragment in any case,
+# followed by ':' or '='.
 _LABEL_ALIASES = {
     "PRE": "pre", "PRE_LOOP_CODE": "pre",
     "IN": "in", "IN_LOOP_CODE": "in",
     "POST": "post", "POST_LOOP_CODE": "post",
 }
+_LABEL = re.compile(r"(?<!\w)(\w+)\s*[:=]")
+
+# One token (name, digit run or punctuation) or one unexpected character.
+_TOKEN = re.compile(r"\s*(?:([A-Za-z_]\w*|\d+|[-()+*%,{}])|(\S))")
+
+# Infix function -> (symbol, precedence); shared by parser and printer.
+_INFIX = {"plus": ("+", 1), "minus": ("-", 1), "times": ("*", 2), "pdiv": ("%", 2)}
+_INFIX_BY_SYMBOL = {sym: (kind, prec) for kind, (sym, prec) in _INFIX.items()}
+_TIGHTEST = max(prec for _, prec in _INFIX.values())
 
 
 def _tokenize(text: str) -> list[str]:
     tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif c.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif c in "()+-*%,{}":
-            tokens.append(c)
-            i += 1
-        else:
-            raise ProgramSyntaxError(f"unexpected character {c!r}")
+    for token, bad in _TOKEN.findall(text):
+        if bad:
+            raise ProgramSyntaxError(f"unexpected character {bad!r}")
+        tokens.append(token)
     return tokens
 
 
@@ -591,28 +533,23 @@ class _ExprParser:
         if got != tok:
             raise ProgramSyntaxError(f"expected {tok!r}, got {got!r}")
 
-    def parse_sequence(self) -> Node:
-        """Comma-separated expressions; sugar for progn2/progn3 chains."""
-        items = [self.parse_additive()]
+    def parse_list(self) -> list[Node]:
+        """Comma-separated expressions: call arguments, or a fragment's
+        sequence (sugar for progn2/progn3 chains)."""
+        items = [self.parse_infix()]
         while self.peek() == ",":
             self.take()
-            items.append(self.parse_additive())
-        return _fold_sequence(items)
+            items.append(self.parse_infix())
+        return items
 
-    def parse_additive(self) -> Node:
-        node = self.parse_multiplicative()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.parse_multiplicative()
-            node = Node("plus" if op == "+" else "minus", (node, rhs))
-        return node
-
-    def parse_multiplicative(self) -> Node:
-        node = self.parse_unary()
-        while self.peek() in ("*", "%"):
-            op = self.take()
-            rhs = self.parse_unary()
-            node = Node("times" if op == "*" else "pdiv", (node, rhs))
+    def parse_infix(self, prec: int = 1) -> Node:
+        """Left-associative infix operators binding at least as tight as prec."""
+        if prec > _TIGHTEST:
+            return self.parse_unary()
+        node = self.parse_infix(prec + 1)
+        while (op := _INFIX_BY_SYMBOL.get(self.peek())) and op[1] == prec:
+            self.take()
+            node = Node(op[0], (node, self.parse_infix(prec + 1)))
         return node
 
     def parse_unary(self) -> Node:
@@ -624,33 +561,20 @@ class _ExprParser:
     def parse_primary(self) -> Node:
         tok = self.take()
         if tok == "(":
-            node = self.parse_additive()
+            node = self.parse_infix()
             self.expect(")")
             return node
         if tok.isdigit():
             if tok not in _CONSTANTS:
-                raise ProgramSyntaxError(
-                    f"constant {tok} not available (only 0..4)"
-                )
+                raise ProgramSyntaxError(f"constant {tok} not available (only 0..4)")
             return Node(tok)
-        if tok.isidentifier():
-            if self.peek() == "(":
-                self.take()
-                args = [self.parse_additive()]
-                while self.peek() == ",":
-                    self.take()
-                    args.append(self.parse_additive())
-                self.expect(")")
-                if tok not in FUNCTIONS:
-                    raise ProgramSyntaxError(f"unknown function {tok!r}")
-                if len(args) != FUNCTIONS[tok]:
-                    raise ProgramSyntaxError(
-                        f"{tok} expects {FUNCTIONS[tok]} argument(s), got {len(args)}"
-                    )
-                return Node(tok, tuple(args))
-            if tok in TERMINALS_BY_FRAGMENT["in"]:
+        if tok.isidentifier():  # validate_tree checks the name and arity
+            if self.peek() != "(":
                 return Node(tok)
-            raise ProgramSyntaxError(f"unknown symbol {tok!r}")
+            self.take()
+            args = self.parse_list()
+            self.expect(")")
+            return Node(tok, tuple(args))
         raise ProgramSyntaxError(f"unexpected token {tok!r}")
 
 
@@ -674,33 +598,18 @@ def parse_program(text: str) -> InitProgram:
     """
     # Locate fragment labels without tokenizing the whole text first, so
     # that '/' may act as a separator.
-    found: dict[str, str] = {}
-    spans = []
-    upper = text.upper()
-    for alias, fragment in _LABEL_ALIASES.items():
-        start = 0
-        while True:
-            idx = upper.find(alias, start)
-            if idx == -1:
-                break
-            end = idx + len(alias)
-            before_ok = idx == 0 or not (text[idx - 1].isalnum() or text[idx - 1] == "_")
-            rest = text[end:].lstrip()
-            after_ok = rest[:1] in (":", "=")  # 'PRE_LOOP_CODE' fails this for 'PRE'
-            if before_ok and after_ok:
-                separator_pos = end + (len(text[end:]) - len(rest))
-                spans.append((idx, separator_pos + 1, fragment))
-            start = end
-    spans.sort()
-    if not spans:
+    labels = [m for m in _LABEL.finditer(text) if m[1].upper() in _LABEL_ALIASES]
+    if not labels:
         raise ProgramSyntaxError("no PRE/IN/POST fragment label found")
-    head = text[: spans[0][0]].strip()
+    head = text[: labels[0].start()].strip()
     if head:
         raise ProgramSyntaxError(f"unexpected text before first label: {head!r}")
 
-    for i, (_, body_start, fragment) in enumerate(spans):
-        body_end = spans[i + 1][0] if i + 1 < len(spans) else len(text)
-        body = text[body_start:body_end].strip()
+    found: dict[str, str] = {}
+    ends = [m.start() for m in labels[1:]] + [len(text)]
+    for label, body_end in zip(labels, ends):
+        fragment = _LABEL_ALIASES[label[1].upper()]
+        body = text[label.end() : body_end].strip()
         body = body.rstrip("/").strip()  # '/' separates fragments
         if fragment in found:
             raise ProgramSyntaxError(f"duplicate fragment {fragment.upper()}")
@@ -713,7 +622,7 @@ def parse_program(text: str) -> InitProgram:
             trees[fragment] = ZERO
             continue
         parser = _ExprParser(_tokenize(body))
-        tree = parser.parse_sequence()
+        tree = _fold_sequence(parser.parse_list())
         if parser.peek() is not None:
             raise ProgramSyntaxError(
                 f"trailing tokens in {fragment.upper()}: {parser.peek()!r}"
@@ -727,11 +636,10 @@ def _print_expr(node: Node, parent_prec: int = 0, right_side: bool = False) -> s
     kind = node.kind
     if not node.children:
         return kind
-    sym = _INFIX_SYMBOL.get(kind)
-    if sym is None:
+    if kind not in _INFIX:
         args = ", ".join(_print_expr(c) for c in node.children)
         return f"{kind}({args})"
-    prec = _INFIX_PRECEDENCE[kind]
+    sym, prec = _INFIX[kind]
     left = _print_expr(node.children[0], prec, False)
     right = _print_expr(node.children[1], prec, True)
     text = f"{left}{sym}{right}"
@@ -750,11 +658,10 @@ def print_program(prog: InitProgram) -> str:
     calls.
     """
     parts = []
-    labels = {"pre": "PRE", "in": "IN", "post": "POST"}
     for fragment, tree in prog.fragments():
         if tree == ZERO:
             continue
-        parts.append(f"{labels[fragment]}: {_print_expr(tree)}")
+        parts.append(f"{fragment.upper()}: {_print_expr(tree)}")
     if not parts:
         return "IN: 0"
     return " / ".join(parts)

@@ -97,7 +97,7 @@ class TestSolve:
 
     def test_preset_init_with_manifest(self, bundled_file, workdir, capsys):
         code = main(
-            ["solve", bundled_file, "--init", "preset:add_lc", "--normalize",
+            ["solve", bundled_file, "--init", "preset:add_lc",
              "--out", str(workdir / "m")]
         )
         assert code == EXIT_UNSAT
@@ -227,6 +227,29 @@ class TestEvolve:
             workdir / "resumed" / "best_program.txt"
         ).read_text()
 
+    @pytest.mark.parametrize("case_file,extra,field", [
+        ("bundled", ["--pop", "7"], "population_size"),
+        ("bundled", ["--var-decay", "0.9"], "config_hash"),
+        ("bundled", ["--solver-seed", "1"], "config_hash"),
+        ("other", [], "cases_digest"),
+    ])
+    def test_resume_refuses_other_run(
+        self, bundled_file, workdir, capsys, case_file, extra, field
+    ):
+        other = workdir / "other.cnf"
+        other.write_text(write_dimacs(random_3sat(20, 85, seed=77)))
+        files = {"bundled": bundled_file, "other": str(other)}
+        part = workdir / "part"
+        assert main(["evolve", bundled_file, "--pop", "6", "--seed", "11",
+                     "--gens", "1", "--out", str(part)]) == 0
+        resumed = workdir / "resumed"
+        code = main(["evolve", files[case_file], "--pop", "6", "--seed", "11",
+                     "--gens", "2", *extra, "--out", str(resumed),
+                     "--resume", str(part / "checkpoint.txt")])
+        assert code == EXIT_ERROR
+        assert f"checkpoint {field}" in capsys.readouterr().err
+        assert not (resumed / "evolution_log.csv").exists()
+
     def test_trivial_case_rejected(self, workdir, capsys):
         path = workdir / "triv.cnf"
         path.write_text("p cnf 1 1\n1 0\n")
@@ -293,17 +316,6 @@ class TestValidateCommand:
         assert main(["validate", "preset:nope", bundled_file,
                      "--out", str(workdir / "v")]) == EXIT_ERROR
         assert "unknown preset" in capsys.readouterr().err
-
-    def test_no_normalize_flag(self, bundled_file, workdir, capsys):
-        # Raw and normalized hand-over must yield identical measurements
-        # (scale cannot influence the search).
-        assert main(["validate", "preset:sub_xp", bundled_file,
-                     "--out", str(workdir / "vn")]) == 0
-        assert main(["validate", "preset:sub_xp", bundled_file, "--no-normalize",
-                     "--out", str(workdir / "vr")]) == 0
-        a = strip_time_columns(read_lines(workdir / "vn" / "validation.csv"))
-        b = strip_time_columns(read_lines(workdir / "vr" / "validation.csv"))
-        assert a == b
 
 
 class TestManifests:

@@ -45,6 +45,21 @@ def small_config(**overrides) -> GpConfig:
     return GpConfig(**base)
 
 
+class TestConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("generations", -2),
+        ("population_size", 1),
+        ("tournament_size", 0),
+        ("crossover_prob", 1.5),
+        ("creation_prob", -0.1),
+        ("creation_max_depth", 1),
+        ("crossover_max_depth", 5),
+    ])
+    def test_bad_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GpConfig(**{field: value}).validate()
+
+
 class TestFitness:
     def test_golden_value(self):
         assert abs(fitness([(464, 9231)], 11) - 473.242) < 1e-9
@@ -286,8 +301,9 @@ class TestRunEvolution:
             partial_state["population"],
             partial_state["generation"],
             partial_state["rng"],
+            cases,
         )
-        population, generation, rng = load_checkpoint(checkpoint)
+        population, generation, rng = load_checkpoint(checkpoint, cases, 10)
         _, log_resumed = run_evolution(
             cases,
             full_config,
@@ -304,8 +320,8 @@ class TestCheckpoint:
         config = small_config(population_size=6, generations=0)
         state = {}
         run_evolution(cases, config, state_out=state)
-        text = save_checkpoint(state["population"], 0, state["rng"])
-        population, generation, rng = load_checkpoint(text)
+        text = save_checkpoint(state["population"], 0, state["rng"], cases)
+        population, generation, rng = load_checkpoint(text, cases, 6)
         assert generation == 0
         assert rng.state == state["rng"].state
         assert [print_program(i.program) for i in population] == [
@@ -314,3 +330,25 @@ class TestCheckpoint:
         assert [i.fitness for i in population] == [
             i.fitness for i in state["population"]
         ]
+
+    def test_mismatch_refused(self):
+        cases = small_cases()
+        config = small_config(population_size=6, generations=0)
+        state = {}
+        run_evolution(cases, config, state_out=state)
+        text = save_checkpoint(state["population"], 0, state["rng"], cases)
+        other_cnf = FitnessCaseSet.from_cnfs(
+            [("case0", random_3sat(20, 85, seed=78))], cases.solver_config
+        )
+        other_config = FitnessCaseSet.from_cnfs(
+            [("case0", random_3sat(20, 85, seed=77))], SolverConfig(rng_seed=2)
+        )
+        with pytest.raises(ValueError, match="population_size"):
+            load_checkpoint(text, cases, 7)
+        with pytest.raises(ValueError, match="cases_digest"):
+            load_checkpoint(text, other_cnf, 6)
+        with pytest.raises(ValueError, match="config_hash"):
+            load_checkpoint(text, other_config, 6)
+        old_header = text.split(" population_size=")[0] + "\n"
+        with pytest.raises(ValueError, match="population_size is missing"):
+            load_checkpoint(old_header, cases, 6)

@@ -1,17 +1,23 @@
+import hashlib
+import struct
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_random_cnf
-from satgp.cnf import Cnf, random_3sat
+from satgp.cnf import Cnf, preprocess_bcp, random_3sat
 from satgp.gp import random_individual
+from satgp.harness import bundled_cnf
 from satgp.lang import (
     CLAMP_LIMIT,
     EvalContext,
+    FUNCTIONS,
     InitProgram,
     Node,
     PRESETS,
     ProgramSyntaxError,
     Registers,
+    TERMINALS_BY_FRAGMENT,
     compute_activities,
     eval_node,
     node_count,
@@ -244,6 +250,59 @@ class TestDualInterpreter:
         assert counters["node_evals"] <= bound
 
 
+# Exact interpreter work and output on the bundled instance after
+# preprocess_bcp: node_evals, in_executions and the sha256 of the
+# little-endian activity doubles.  The second program takes its `if`
+# branches unevenly (ic < 2 only for each variable's first two clauses);
+# the third nests setv1 inside set and set inside setv2.
+PINNED_RUNS = [
+    ("PRE: set(1) / IN: add(lc*ic) / POST: mul(2)",
+     5360, 1290, "45472227cee9db86427f1a04644cd75c949034a9cd82dd88985c91920f002e79"),
+    ("IN: if(lessthan(ic, 2), add(lc), progn2(setv1(v1+ls), sub(v1%3)))",
+     15470, 1290, "e643ca1404532a459b181c16ae4d0bd967b8e3434e1a8e4c066446da676b567d"),
+    ("PRE: setv1(set(xp)) / IN: setv2(set(add(setv1(v1+ln)))), if(xs, add(v2), div(3))"
+     " / POST: div(setv1(v1-xc))",
+     15880, 1290, "441e211f8318ce5fff3b38f3a64c4da75e0e89c945d8c650aeda406dfd0780f4"),
+    ("IN: add(exp(-lc)-lp)",
+     7840, 1290, "b2c2444d28d91e5ad6cdffcafb0f416350f8b9d5c02eeca0683b67917c0b8dd2"),
+    ("PRE: setv2(inv(xn)) / IN: if(and(ls, xor(xs, lessthan(il, 1))),"
+     " mul(max(log(lc), sqrt(cs-ln))), setv2(min(abs(v2), sgn(ic-1))))"
+     " / POST: add(progn3(setv1(v2), neg(v1), nc%xc))",
+     21240, 1290, "5be6978565012534caacc9fcaddf6768a62c0e298e8e658ea11e466a2e515295"),
+]
+
+
+class TestPinnedRuns:
+    @pytest.mark.parametrize("text,node_evals,in_executions,digest", PINNED_RUNS)
+    def test_exact_counters_and_bytes(self, text, node_evals, in_executions, digest):
+        cnf = preprocess_bcp(bundled_cnf())[0]
+        counters = {}
+        acts = compute_activities(parse_program(text), cnf, counters=counters)
+        assert counters == {"node_evals": node_evals, "in_executions": in_executions}
+        packed = struct.pack(f"<{len(acts)}d", *acts)
+        assert hashlib.sha256(packed).hexdigest() == digest
+
+    def test_primitive_order_is_pinned(self):
+        # gp.random_tree draws by position in these tables, so their order
+        # is part of the GP random stream.
+        assert tuple(FUNCTIONS.items()) == (
+            ("add", 1), ("sub", 1), ("mul", 1), ("div", 1), ("set", 1),
+            ("setv1", 1), ("setv2", 1),
+            ("inv", 1), ("neg", 1), ("exp", 1), ("log", 1), ("sgn", 1),
+            ("sqrt", 1), ("abs", 1),
+            ("progn2", 2), ("min", 2), ("max", 2),
+            ("and", 2), ("or", 2), ("xor", 2), ("lessthan", 2),
+            ("plus", 2), ("minus", 2), ("times", 2), ("pdiv", 2),
+            ("progn3", 3), ("if", 3),
+        )
+        assert TERMINALS_BY_FRAGMENT["in"] == (
+            "xn", "xp", "xc", "nv", "nc", "0", "1", "2", "3", "4", "a0", "v1", "v2",
+            "ln", "lp", "lc", "cs", "xs", "ls", "ic", "il",
+        )
+        assert TERMINALS_BY_FRAGMENT["pre"] == TERMINALS_BY_FRAGMENT["post"]
+        assert TERMINALS_BY_FRAGMENT["pre"] == TERMINALS_BY_FRAGMENT["in"][:13]
+
+
 class TestNormalize:
     def test_examples(self):
         assert normalize([2.0, -4.0, 1.0]) == [0.5, -1.0, 0.25]
@@ -294,12 +353,46 @@ class TestTextFormat:
             "IN: set(3),div(2)",
             "IN: div(sub(1))",
             "IN: add(exp(-lc)-lp)",
+            "pre: set(xn) / in = div(lp) / Post= add(1)",
+            "in_loop_code: add(lc)",
+            "IN: add(lc) //",
+            "PRE: set(1) // IN: add(lc) /// POST: sub(xc) //",
         ],
     )
     def test_parse_print_roundtrip(self, text):
         prog = parse_program(text)
         printed = print_program(prog)
         assert parse_program(printed) == prog
+
+    @pytest.mark.parametrize(
+        "text,canonical",
+        [
+            ("in: sub(xp)", "IN: sub(xp)"),
+            ("pre = set(xn) / in= div(lp) / post :add(1)",
+             "PRE: set(xn) / IN: div(lp) / POST: add(1)"),
+            ("Post_Loop_Code = add(1)", "POST: add(1)"),
+            ("IN: add(lc) //", "IN: add(lc)"),
+            ("PRE: set(1) // IN: add(lc) ///", "PRE: set(1) / IN: add(lc)"),
+        ],
+    )
+    def test_label_spellings(self, text, canonical):
+        assert parse_program(text) == parse_program(canonical)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "PRE: set(1) xIN: add(lc)",  # xIN is not a label; ':' is no token
+            "_IN: add(lc)",  # no label at all
+            "IN: add(lc) $",
+            "IN: add(l\u00e9)",
+            "IN: add(\u00e9)",
+            "IN: add(4xc)",
+            "IN: add(lc) / /",
+        ],
+    )
+    def test_rejected_text(self, text):
+        with pytest.raises(ProgramSyntaxError):
+            parse_program(text)
 
     def test_long_form_labels(self):
         prog = parse_program(
