@@ -108,6 +108,17 @@ def _solver_config(args) -> SolverConfig:
     )
 
 
+def _jobs(text: str) -> int:
+    """argparse type of --jobs: a worker count of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--var-decay", type=float, default=0.95, dest="var_decay")
     parser.add_argument("--random-freq", type=float, default=0.02, dest="random_freq")
@@ -268,6 +279,11 @@ def cmd_evolve(args) -> int:
             population, generation, rng = load_checkpoint(
                 fh.read(), cases, gp_config.population_size
             )
+        if args.gens <= generation:
+            raise ValueError(
+                f"--gens {args.gens} does not exceed the checkpoint's generation"
+                f" {generation}; nothing to evolve"
+            )
         resume_kwargs = {
             "population": population,
             "start_generation": generation,
@@ -295,6 +311,10 @@ def cmd_evolve(args) -> int:
         save_checkpoint(state["population"], state["generation"], state["rng"], cases),
     )
     _write_manifest(args, solver_config, args.seed, args.files)
+    print(
+        f"{state['evaluations']} evaluations, {state['interpreter_runs']}"
+        f" interpreter runs, {state['searches']} searches"
+    )
     print(f"best fitness {best.fitness!r} with {best.node_count} nodes:")
     print(f"  {print_program(best.program)}")
     print(f"artifacts written to {out_dir}")
@@ -398,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--range", default="0:1", help="lo:hi for random activities")
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--out", default=None)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_histogram)
@@ -409,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gens", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--resume", default=None, help="continue from a checkpoint file")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
     p.add_argument("--out", default=None)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_evolve)

@@ -18,17 +18,25 @@ copied instead.  The child replaces the loser of an inverse tournament,
 with the population's current best individual protected from replacement.
 Copies reuse the parent's solver statistics, which is exact because
 evaluation is deterministic.
+
+Each run_evolution call keeps an exact two-level evaluation memo
+(EvalMemo): a program text seen before skips the interpreter, and an
+initialization seen before on a case skips the solver.  It lives for
+one run only, so every run does the work of a fresh one.  With jobs > 1
+the distinct new texts of the initial population are evaluated in a
+worker pool (harness.map_shared) and fill the memo; results never depend
+on the worker count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+import struct
+from dataclasses import dataclass, field, replace
 
 from .cnf import Cnf, VarStats, compute_var_stats, preprocess_bcp, write_dimacs
-from .harness import config_hash
+from .harness import config_hash, map_shared, pool_size
 from .lang import (
     FUNCTIONS,
     TERMINALS_BY_FRAGMENT,
@@ -36,6 +44,7 @@ from .lang import (
     Node,
     compute_activities,
     node_count,
+    normalize,
     parse_program,
     print_program,
     replace_subtree,
@@ -141,47 +150,105 @@ def fitness(per_case, node_count: int) -> float:
     return math.sqrt(total) + node_count / 1000.0
 
 
-def evaluate(ind: Individual, cases: FitnessCaseSet) -> Individual:
+@dataclass
+class EvalMemo:
+    """Exact evaluation memo for one set of fitness cases.
+
+    by_text maps print_program text to per-case (conflicts, decisions),
+    which skips the interpreter; by_init maps (case index, bytes of
+    normalize(acts) as doubles) to (conflicts, decisions), which skips the
+    solver.  Both keys are exact: the solver config is fixed per case set
+    and the solver normalizes every init itself.  Ranks would not be: x**5
+    keeps the order of an init but changes its trace.  The counters tally
+    evaluate calls, interpreter runs and solver searches.
+    """
+
+    by_text: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
+    by_init: dict[tuple[int, bytes], tuple[int, int]] = field(default_factory=dict)
+    evaluations: int = 0
+    interpreter_runs: int = 0
+    searches: int = 0
+
+
+def _case_results(program: InitProgram, cases: FitnessCaseSet, memo: EvalMemo):
+    """[(by_init key, (conflicts, decisions))] for every fitness case.
+
+    The raw activities are handed to the solver, which normalizes them
+    itself; the key uses the same normalization.
+    """
+    results = []
+    for i, case in enumerate(cases.cases):
+        acts = compute_activities(program, case.cnf, case.stats)
+        key = (i, struct.pack(f"{len(acts)}d", *normalize(acts)))
+        result = memo.by_init.get(key)
+        if result is None:
+            outcome = solve(case.cnf, acts, cases.solver_config)
+            result = memo.by_init[key] = (outcome.conflicts, outcome.decisions)
+            memo.searches += 1
+        results.append((key, result))
+    memo.interpreter_runs += len(results)
+    return results
+
+
+def evaluate(
+    ind: Individual, cases: FitnessCaseSet, memo: EvalMemo | None = None
+) -> Individual:
     """Solve every fitness case with the individual's initialization.
 
-    The raw activities are handed over: the solver normalizes internally,
-    so normalizing them here could not change the search trace.
+    Answers from `memo` what it already holds and adds what it learns;
+    without one, a fresh memo serves this call only.
     """
-    per_case = []
-    for case in cases.cases:
-        acts = compute_activities(ind.program, case.cnf, case.stats)
-        outcome = solve(case.cnf, acts, cases.solver_config)
-        per_case.append((outcome.conflicts, outcome.decisions))
+    if memo is None:
+        memo = EvalMemo()
+    text = print_program(ind.program)
+    per_case = memo.by_text.get(text)
+    if per_case is None:
+        results = _case_results(ind.program, cases, memo)
+        per_case = memo.by_text[text] = [result for _, result in results]
+    memo.evaluations += 1
     ind.per_case = per_case
     ind.node_count = ind.program.node_count
     ind.fitness = fitness(per_case, ind.node_count)
     return ind
 
 
-def _evaluate_text(args) -> tuple[float, list[tuple[int, int]]]:
-    """Process-pool worker: evaluate a program given as text."""
-    text, cases = args
-    ind = evaluate(Individual(parse_program(text)), cases)
-    return ind.fitness, ind.per_case
+def _evaluate_text(shared, text: str):
+    """Pool task: the case results of one program text, and the number of
+    searches they took.  shared is (cases, this worker's own memo)."""
+    cases, memo = shared
+    searches = memo.searches
+    results = _case_results(parse_program(text), cases, memo)
+    return results, memo.searches - searches
 
 
-def evaluate_population(population, cases: FitnessCaseSet, jobs: int = 1) -> None:
+def evaluate_population(
+    population, cases: FitnessCaseSet, jobs: int = 1, memo: EvalMemo | None = None
+) -> None:
     """Evaluate all unevaluated individuals, optionally in parallel.
 
-    Results are committed in population order, so the outcome is identical
-    to sequential evaluation regardless of worker count.
+    With more than one worker, the distinct program texts the memo lacks
+    are evaluated in a process pool first and fill the memo.  Every
+    individual then goes through `evaluate` in population order, so the
+    outcome is identical to sequential evaluation for any worker count.
     """
+    if memo is None:
+        memo = EvalMemo()
     todo = [ind for ind in population if ind.fitness is None]
-    if jobs <= 1 or len(todo) < 2:
-        for ind in todo:
-            evaluate(ind, cases)
-        return
-    payload = [(print_program(ind.program), cases) for ind in todo]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for ind, (fit, per_case) in zip(todo, pool.map(_evaluate_text, payload)):
-            ind.fitness = fit
-            ind.per_case = per_case
-            ind.node_count = ind.program.node_count
+    if jobs > 1:
+        texts = [
+            text
+            for text in dict.fromkeys(print_program(ind.program) for ind in todo)
+            if text not in memo.by_text
+        ]
+        if pool_size(jobs, len(texts)) > 1:
+            done = map_shared(_evaluate_text, (cases, EvalMemo()), texts, jobs)
+            for text, (results, searches) in zip(texts, done):
+                memo.by_text[text] = [result for _, result in results]
+                memo.by_init.update(results)
+                memo.interpreter_runs += len(results)
+                memo.searches += searches
+    for ind in todo:
+        evaluate(ind, cases, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +390,16 @@ def step_steady_state(
     config: GpConfig,
     rng: SplitMix64,
     on_child=None,
+    memo: EvalMemo | None = None,
 ):
     """Run population_size replacement events in place; returns population.
 
     on_child, when given, is called with every freshly created Individual
     after evaluation (used by tests to audit depth and terminal rules).
+    Children are evaluated through `memo`, or a memo of this call only.
     """
+    if memo is None:
+        memo = EvalMemo()
     for _ in range(config.population_size):
         parent_a = tournament_select(population, rng, config.tournament_size)
         parent_b = tournament_select(population, rng, config.tournament_size)
@@ -357,7 +428,7 @@ def step_steady_state(
 
         validate_program(child.program)  # fragment closure is an invariant
         if child.fitness is None:
-            evaluate(child, cases)
+            evaluate(child, cases, memo)
         if on_child is not None:
             on_child(child)
 
@@ -406,25 +477,33 @@ def run_evolution(
     start_generation / rng allow resuming from a checkpoint; a resumed run
     continues the exact random stream of an uninterrupted one.  When given,
     state_out receives the final 'population', 'rng' and 'generation' for
-    checkpointing.
+    checkpointing, and the run's 'evaluations', 'interpreter_runs' and
+    'searches' counts.
+
+    All evaluations of the run share one EvalMemo, made here: a memo kept
+    across runs on the same case set would make later runs nearly free.
     """
     config.validate()
     if rng is None:
         rng = SplitMix64(config.rng_seed)
     if population is None:
         population = create_initial_population(config, rng)
-    evaluate_population(population, cases, jobs=jobs)
+    memo = EvalMemo()
+    evaluate_population(population, cases, jobs=jobs, memo=memo)
 
     log = [_record(start_generation, population)]
     gen = start_generation
     for gen in range(start_generation + 1, config.generations + 1):
-        step_steady_state(population, cases, config, rng, on_child=on_child)
+        step_steady_state(population, cases, config, rng, on_child=on_child, memo=memo)
         log.append(_record(gen, population))
     best = population[_best_index(population)]
     if state_out is not None:
         state_out["population"] = population
         state_out["rng"] = rng
         state_out["generation"] = max(gen, start_generation)
+        state_out["evaluations"] = memo.evaluations
+        state_out["interpreter_runs"] = memo.interpreter_runs
+        state_out["searches"] = memo.searches
     return best, log
 
 

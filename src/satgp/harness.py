@@ -12,6 +12,9 @@ All reports embed the master seed and a hash of the solver configuration;
 CSV artifacts start with the comment line
 `# config-hash=<hex> master-seed=<int>` and are byte-stable across reruns
 except for wall-time columns.
+
+`map_shared` is the one `--jobs` path of the package: histogram samples
+and GP fitness evaluation both fan out through it.
 """
 
 from __future__ import annotations
@@ -21,8 +24,11 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 from .cnf import Cnf, compute_var_stats, preprocess_bcp, random_3sat, reorder
 from .lang import InitProgram, compute_activities, print_program
@@ -100,10 +106,54 @@ def replay_sample(
     return solve(cnf, random_init(cnf.num_vars, seed, lo, hi), config)
 
 
-def _histogram_worker(args) -> tuple[int, int, int]:
-    cnf, seed, lo, hi, config = args
+def pool_size(jobs: int, tasks: int) -> int:
+    """Worker processes for `tasks` tasks at `--jobs jobs`.
+
+    Never more than the tasks or the CPUs: a process pool starts all of
+    its workers at once, however few tasks there are.
+    """
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+
+
+_shared = None  # what map_shared shipped to this worker process
+
+
+def _install_shared(shared) -> None:
+    global _shared
+    _shared = shared
+
+
+def _call_shared(fn, task):
+    return fn(_shared, task)
+
+
+def map_shared(fn, shared, tasks, jobs: int = 1) -> list:
+    """[fn(shared, task) for task in tasks], in task order.
+
+    With more than one worker (see pool_size) the tasks run in a pool of
+    spawned processes, and `shared` is pickled once per worker, for the
+    pool's initializer, instead of into every task.  fn must be a
+    module-level function; each worker gets its own copy of `shared`,
+    which lives as long as the pool.
+    """
+    tasks = list(tasks)
+    workers = pool_size(jobs, len(tasks))
+    if workers == 1:
+        return [fn(shared, task) for task in tasks]
+    chunksize = max(1, len(tasks) // (4 * workers))
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("spawn"),
+        initializer=_install_shared,
+        initargs=(shared,),
+    ) as pool:
+        return list(pool.map(partial(_call_shared, fn), tasks, chunksize=chunksize))
+
+
+def _histogram_sample(shared, seed: int) -> tuple[int, int]:
+    cnf, lo, hi, config = shared
     outcome = solve(cnf, random_init(cnf.num_vars, seed, lo, hi), config)
-    return seed, outcome.conflicts, outcome.decisions
+    return outcome.conflicts, outcome.decisions
 
 
 def run_histogram(
@@ -140,16 +190,11 @@ def run_histogram(
     )
 
     seeds = spawn_seeds(master_seed, samples)
-    tasks = [(cnf, seed, lo, hi, config) for seed in seeds]
-    if jobs <= 1 or samples < 2:
-        results = [_histogram_worker(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_histogram_worker, tasks))
+    results = map_shared(_histogram_sample, (cnf, lo, hi, config), seeds, jobs)
 
     bins: dict[int, int] = {}
     rows: list[SampleRow] = []
-    for i, (seed, conflicts, decisions) in enumerate(results):
+    for i, (seed, (conflicts, decisions)) in enumerate(zip(seeds, results)):
         percent = round_half_away(100.0 * conflicts / baseline.conflicts)
         bins[percent] = bins.get(percent, 0) + 1
         rows.append(SampleRow(i, seed, conflicts, decisions, percent))

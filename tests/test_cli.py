@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -250,6 +251,37 @@ class TestEvolve:
         assert f"checkpoint {field}" in capsys.readouterr().err
         assert not (resumed / "evolution_log.csv").exists()
 
+    def test_resume_without_generations_left_refused(self, bundled_file, workdir, capsys):
+        base = ["evolve", bundled_file, "--pop", "6", "--seed", "11"]
+        assert main(base + ["--gens", "2", "--out", str(workdir / "part")]) == 0
+        capsys.readouterr()
+        for gens in ("1", "2"):
+            resumed = workdir / f"resumed{gens}"
+            code = main(base + ["--gens", gens, "--out", str(resumed),
+                                "--resume", str(workdir / "part" / "checkpoint.txt")])
+            assert code == EXIT_ERROR
+            err = capsys.readouterr().err
+            assert f"--gens {gens}" in err and "generation 2" in err
+            assert not resumed.exists()
+
+    def test_jobs_do_not_change_artifacts_and_counts_are_printed(
+        self, bundled_file, workdir, capsys
+    ):
+        lines = {}
+        for jobs in ("1", "2"):
+            assert main(["evolve", bundled_file, "--pop", "8", "--gens", "1",
+                         "--seed", "7", "--jobs", jobs,
+                         "--out", str(workdir / f"j{jobs}")]) == 0
+            lines[jobs] = capsys.readouterr().out.splitlines()[0]
+        for name in ("evolution_log.csv", "checkpoint.txt", "best_program.txt"):
+            j1, j2 = ((workdir / d / name).read_bytes() for d in ("j1", "j2"))
+            assert j1 == j2
+        match = re.fullmatch(r"(\d+) evaluations, (\d+) interpreter runs, (\d+) searches",
+                             lines["1"])
+        evaluations, runs, searches = (int(g) for g in match.groups())
+        assert 8 <= evaluations and searches <= runs <= evaluations
+        assert lines["2"].split(",")[:2] == lines["1"].split(",")[:2]
+
     def test_trivial_case_rejected(self, workdir, capsys):
         path = workdir / "triv.cnf"
         path.write_text("p cnf 1 1\n1 0\n")
@@ -257,6 +289,16 @@ class TestEvolve:
                      "--out", str(workdir / "e")])
         assert code == EXIT_ERROR
         assert "require search" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["histogram", "evolve"])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_rejected(command, jobs, bundled_file, workdir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, bundled_file, "--jobs", jobs, "--out", str(workdir / "o")])
+    assert exc.value.code == 2
+    assert "--jobs: must be at least 1" in capsys.readouterr().err
+    assert not (workdir / "o").exists()
 
 
 class TestReorderCommand:

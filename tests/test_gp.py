@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from satgp import gp
 from satgp.cnf import random_3sat
 from satgp.gp import (
+    EvalMemo,
     FitnessCaseSet,
     GpConfig,
     Individual,
@@ -19,6 +21,7 @@ from satgp.gp import (
 )
 from satgp.lang import (
     TERMINALS_BY_FRAGMENT,
+    compute_activities,
     iter_nodes,
     parse_program,
     print_program,
@@ -26,7 +29,7 @@ from satgp.lang import (
     validate_program,
 )
 from satgp.rng import SplitMix64
-from satgp.solver import SolverConfig, solve_with_baseline
+from satgp.solver import SolverConfig, solve, solve_with_baseline
 
 
 def small_cases() -> FitnessCaseSet:
@@ -176,6 +179,92 @@ class TestEvaluate:
         evaluate_population(seq, cases, jobs=1)
         evaluate_population(par, cases, jobs=2)
         assert [i.fitness for i in seq] == [i.fitness for i in par]
+
+
+def two_cases() -> FitnessCaseSet:
+    return FitnessCaseSet.from_cnfs(
+        [(f"case{i}", random_3sat(20, 85, seed=77 + i)) for i in range(2)],
+        SolverConfig(rng_seed=1),
+    )
+
+
+def count_solves(monkeypatch) -> list:
+    calls = []
+
+    def counted(cnf, init, config=None):
+        calls.append(cnf)
+        return solve(cnf, init, config)
+
+    monkeypatch.setattr(gp, "solve", counted)
+    return calls
+
+
+class TestMemo:
+    # Duplicate texts, and distinct texts whose activities differ only by
+    # a positive scale (lc, 2*lc and 4*lc are exact in binary).
+    TEXTS = ["IN: add(lc)", "IN: add(lc*2)", "IN: add(lc)", "IN: add(lc*4)",
+             "IN: sub(xp)", "IN: sub(xp)"]
+
+    def population(self):
+        return [Individual(parse_program(text)) for text in self.TEXTS]
+
+    def test_premise_scaled_activities(self):
+        cases = two_cases()
+        base, double = (parse_program(t) for t in self.TEXTS[:2])
+        for case in cases.cases:
+            acts = compute_activities(base, case.cnf, case.stats)
+            doubled = compute_activities(double, case.cnf, case.stats)
+            assert doubled == [2 * a for a in acts]
+            assert len(set(acts)) > 1
+
+    def test_matches_fresh_solves(self):
+        cases = two_cases()
+        population = self.population()
+        evaluate_population(population, cases, memo=EvalMemo())
+        for ind in population:
+            per_case = []
+            for case in cases.cases:
+                acts = compute_activities(ind.program, case.cnf, case.stats)
+                out = solve(case.cnf, acts, cases.solver_config)
+                per_case.append((out.conflicts, out.decisions))
+            assert ind.per_case == per_case
+            assert ind.fitness == fitness(per_case, ind.program.node_count)
+
+    def test_fewer_solves_than_evaluations(self, monkeypatch):
+        cases = two_cases()
+        calls = count_solves(monkeypatch)
+        memo = EvalMemo()
+        evaluate_population(self.population(), cases, memo=memo)
+        evaluated = len(self.TEXTS) * len(cases.cases)
+        # one search per case for the lc family and one for sub(xp)
+        assert len(calls) == memo.searches == 2 * len(cases.cases) < evaluated
+        assert memo.interpreter_runs == 4 * len(cases.cases)  # distinct texts
+        assert memo.evaluations == len(self.TEXTS)
+
+    def test_memo_does_not_outlive_a_run(self, monkeypatch):
+        cases = two_cases()
+        config = small_config(population_size=12, generations=2)
+        calls = count_solves(monkeypatch)
+        counts = []
+        for _ in range(2):
+            state = {}
+            run_evolution(cases, config, state_out=state)
+            counts.append((len(calls), state["searches"]))
+            calls.clear()
+        assert counts[0] == counts[1]
+        assert counts[0][0] == counts[0][1] > 0
+
+    def test_parallel_run_counts_and_records_match(self):
+        cases = two_cases()
+        config = small_config(population_size=12, generations=1)
+        runs = []
+        for jobs in (1, 2):
+            state = {}
+            best, log = run_evolution(cases, config, jobs=jobs, state_out=state)
+            runs.append((log, best.per_case, state["evaluations"],
+                         state["interpreter_runs"],
+                         [(i.fitness, i.per_case) for i in state["population"]]))
+        assert runs[0] == runs[1]
 
 
 class TestSelection:

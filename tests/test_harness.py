@@ -1,11 +1,14 @@
 import pytest
 
+from satgp import harness
 from satgp.cnf import Cnf, IDENTITY_SEED, preprocess_bcp, random_3sat
 from satgp.harness import (
     bundled_cnf,
     compare_reordered,
     config_hash,
     histogram_csv,
+    map_shared,
+    pool_size,
     random_init,
     replay_sample,
     round_half_away,
@@ -84,6 +87,24 @@ class TestHistogram:
         par = run_histogram(cnf, 10, 0.0, 1.0, CONFIG, master_seed=9, jobs=2)
         assert seq.bins == par.bins
         assert [r.conflicts for r in seq.rows] == [r.conflicts for r in par.rows]
+
+
+class TestWorkerPool:
+    # Sizing is tested without starting a pool: a pool forks all of its
+    # workers at once.
+    def test_never_more_workers_than_tasks(self):
+        assert pool_size(5000, 3) <= 3
+        assert pool_size(5000, 0) == 1
+
+    def test_unknown_cpu_count_gives_one_worker(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        assert pool_size(8, 8) == 1
+
+    def test_one_worker_runs_in_order_in_process(self):
+        seen = []
+        assert map_shared(lambda shared, task: seen.append(task) or shared + task,
+                          10, [3, 1, 2], jobs=1) == [13, 11, 12]
+        assert seen == [3, 1, 2]
 
 
 class TestCompareReordered:
