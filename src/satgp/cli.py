@@ -268,10 +268,7 @@ def cmd_evolve(args) -> int:
     named = [(os.path.basename(path), read_dimacs(path)) for path in args.files]
     cases = FitnessCaseSet.from_cnfs(named, solver_config)
     gp_config = GpConfig(
-        population_size=args.pop,
-        generations=args.gens,
-        tournament_size=min(10, args.pop),
-        rng_seed=args.seed,
+        population_size=args.pop, generations=args.gens, rng_seed=args.seed
     )
     resume_kwargs = {}
     if args.resume:

@@ -15,11 +15,6 @@ from .rng import SplitMix64
 
 logger = logging.getLogger(__name__)
 
-# Reserved reorder seed that produces the identity transformation
-# (no clause permutation, no renaming, no inversion).  Test hook.
-IDENTITY_SEED = -1
-
-
 class DimacsError(ValueError):
     """Raised on malformed DIMACS input; message names the line number."""
 
@@ -45,17 +40,6 @@ class Cnf:
 
 
 @dataclass
-class ParseReport:
-    """Side information from parsing, separate from the Cnf value."""
-
-    declared_vars: int = 0
-    declared_clauses: int = 0
-    encountered_clauses: int = 0
-    tautologies_dropped: int = 0
-    duplicate_literals_removed: int = 0
-
-
-@dataclass
 class VarStats:
     """Per-variable literal occurrence counts, 1-based (index 0 unused).
 
@@ -67,8 +51,8 @@ class VarStats:
     xc: list[int]
 
 
-def parse_dimacs_report(source) -> tuple[Cnf, ParseReport]:
-    """Parse DIMACS CNF text and also return a ParseReport.
+def parse_dimacs(source) -> Cnf:
+    """Parse DIMACS CNF text into a Cnf.
 
     Accepts str or bytes.  Comment lines start with 'c'; a line that is
     exactly '%' ends the input (common benchmark-file tail).  Clauses are
@@ -80,8 +64,8 @@ def parse_dimacs_report(source) -> tuple[Cnf, ParseReport]:
     if isinstance(source, bytes):
         source = source.decode("ascii", errors="replace")
 
-    report = ParseReport()
     num_vars = None
+    declared_clauses = encountered_clauses = 0
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
     clause_open = False
@@ -102,12 +86,11 @@ def parse_dimacs_report(source) -> tuple[Cnf, ParseReport]:
                 raise DimacsError(line_no, f"malformed header {line!r}")
             try:
                 num_vars = int(parts[2])
-                report.declared_clauses = int(parts[3])
+                declared_clauses = int(parts[3])
             except ValueError:
                 raise DimacsError(line_no, f"malformed header {line!r}") from None
-            if num_vars < 0 or report.declared_clauses < 0:
+            if num_vars < 0 or declared_clauses < 0:
                 raise DimacsError(line_no, "negative counts in header")
-            report.declared_vars = num_vars
             continue
         if num_vars is None:
             raise DimacsError(line_no, "clause data before 'p cnf' header")
@@ -117,8 +100,8 @@ def parse_dimacs_report(source) -> tuple[Cnf, ParseReport]:
             except ValueError:
                 raise DimacsError(line_no, f"non-integer token {tok!r}") from None
             if lit == 0:
-                report.encountered_clauses += 1
-                clause = _clean_clause(current, report)
+                encountered_clauses += 1
+                clause = _clean_clause(current)
                 if clause is not None:
                     clauses.append(clause)
                 current = []
@@ -136,35 +119,27 @@ def parse_dimacs_report(source) -> tuple[Cnf, ParseReport]:
     if num_vars is None:
         raise DimacsError(last_line_no or 1, "missing 'p cnf' header")
 
-    if report.declared_clauses != report.encountered_clauses:
+    if declared_clauses != encountered_clauses:
         logger.warning(
             "header declares %d clauses but file contains %d",
-            report.declared_clauses,
-            report.encountered_clauses,
+            declared_clauses,
+            encountered_clauses,
         )
-    return Cnf(num_vars, tuple(clauses)), report
+    return Cnf(num_vars, tuple(clauses))
 
 
-def _clean_clause(lits: list[int], report: ParseReport) -> tuple[int, ...] | None:
+def _clean_clause(lits: list[int]) -> tuple[int, ...] | None:
     """Dedup literals preserving first occurrence; drop tautologies."""
     seen: set[int] = set()
     out = []
     for lit in lits:
         if -lit in seen:
-            report.tautologies_dropped += 1
             return None
         if lit in seen:
-            report.duplicate_literals_removed += 1
             continue
         seen.add(lit)
         out.append(lit)
     return tuple(out)
-
-
-def parse_dimacs(source) -> Cnf:
-    """Parse DIMACS CNF text (str or bytes) into a Cnf."""
-    cnf, _ = parse_dimacs_report(source)
-    return cnf
 
 
 def read_dimacs(path) -> Cnf:
@@ -298,24 +273,18 @@ def reorder(cnf: Cnf, seed: int) -> tuple[Cnf, ReorderMapping]:
     """Permute clause order, rename variables and flip random polarities.
 
     Deterministic for a given seed (SplitMix64 stream: variable
-    permutation, then inversion flags, then clause permutation).  The
-    sentinel seed IDENTITY_SEED (-1) yields the identity mapping.
-    Satisfiability is preserved; the mapping translates results back.
+    permutation, then inversion flags, then clause permutation); every
+    integer is a seed.  Satisfiability is preserved; the mapping
+    translates results back.
     """
     n = cnf.num_vars
-    m = len(cnf.clauses)
-    if seed == IDENTITY_SEED:
-        var_map = list(range(n + 1))
-        inverted = [False] * (n + 1)
-        clause_map = list(range(m))
-    else:
-        rng = SplitMix64(seed)
-        perm = list(range(1, n + 1))
-        rng.shuffle(perm)
-        var_map = [0] + perm
-        inverted = [False] + [rng.flip() for _ in range(n)]
-        clause_map = list(range(m))
-        rng.shuffle(clause_map)
+    rng = SplitMix64(seed)
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    var_map = [0] + perm
+    inverted = [False] + [rng.flip() for _ in range(n)]
+    clause_map = list(range(len(cnf.clauses)))
+    rng.shuffle(clause_map)
 
     mapping = ReorderMapping(var_map=var_map, inverted=inverted, clause_map=clause_map)
     new_clauses = tuple(

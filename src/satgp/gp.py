@@ -10,14 +10,14 @@ across cases beat lopsided ones, decisions and tree size act as
 tie-breakers.
 
 One generation performs population_size replacement events.  Each event
-tournament-selects two parents (size 10, lowest fitness wins) and creates
-one child by subtree crossover within a uniformly chosen fragment (95%),
-by fresh ramped-half-and-half creation (2%), or by copying a parent.
-Children deeper than the crossover limit are rejected and the parent is
-copied instead.  The child replaces the loser of an inverse tournament,
-with the population's current best individual protected from replacement.
-Copies reuse the parent's solver statistics, which is exact because
-evaluation is deterministic.
+tournament-selects two parents (size min(10, population_size), lowest
+fitness wins) and creates one child by subtree crossover within a
+uniformly chosen fragment (95%), by fresh ramped-half-and-half creation
+(2%, depths 2..6), or by copying a parent; these settings are module
+constants.  Children deeper than 17 are rejected and the parent is copied
+instead.  The child replaces the loser of an inverse tournament, with the
+population's current best individual protected from replacement.  Copies
+reuse the parent's solver statistics: evaluation is deterministic.
 
 Each run_evolution call keeps an exact two-level evaluation memo
 (EvalMemo): a program text seen before skips the interpreter, and an
@@ -58,34 +58,29 @@ from .solver import SolverConfig, solve
 _FUNCTION_NAMES = tuple(FUNCTIONS)
 
 
+# The operator settings of the paper's runs; no caller varies them.
+CROSSOVER_PROB = 0.95
+CREATION_PROB = 0.02
+CREATION_MAX_DEPTH = 6
+CROSSOVER_MAX_DEPTH = 17
+
+
 @dataclass
 class GpConfig:
     population_size: int = 1000
     generations: int = 5
-    crossover_prob: float = 0.95
-    creation_prob: float = 0.02
-    creation_max_depth: int = 6
-    crossover_max_depth: int = 17
-    tournament_size: int = 10
     rng_seed: int = 0
 
+    @property
+    def tournament_size(self) -> int:
+        """Ten, or the whole population when it is smaller."""
+        return min(10, self.population_size)
+
     def validate(self) -> None:
-        for name in ("crossover_prob", "creation_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if self.crossover_prob + self.creation_prob > 1.0:
-            raise ValueError("crossover_prob + creation_prob must not exceed 1")
-        if self.creation_max_depth < 2:
-            raise ValueError("creation_max_depth must be >= 2 (ramp starts at 2)")
-        if self.crossover_max_depth < self.creation_max_depth:
-            raise ValueError("crossover_max_depth must be >= creation_max_depth")
         if self.generations < 0:
             raise ValueError("generations must be >= 0")
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
-        if not 1 <= self.tournament_size <= self.population_size:
-            raise ValueError("tournament_size must be in [1, population_size]")
 
 
 @dataclass
@@ -93,12 +88,11 @@ class Individual:
     program: InitProgram
     fitness: float | None = None
     per_case: list[tuple[int, int]] | None = None  # (conflicts, decisions)
-    node_count: int = 0
     origin: str = ""  # e.g. "full-4", "grow-2", "crossover", "copy"
 
-    def __post_init__(self):
-        if not self.node_count:
-            self.node_count = self.program.node_count
+    @property
+    def node_count(self) -> int:
+        return self.program.node_count
 
 
 @dataclass
@@ -207,7 +201,6 @@ def evaluate(
         per_case = memo.by_text[text] = [result for _, result in results]
     memo.evaluations += 1
     ind.per_case = per_case
-    ind.node_count = ind.program.node_count
     ind.fitness = fitness(per_case, ind.node_count)
     return ind
 
@@ -289,14 +282,14 @@ def random_individual(rng: SplitMix64, depth: int, method: str) -> Individual:
 
 
 def create_initial_population(config: GpConfig, rng: SplitMix64 | None = None):
-    """Ramped half-and-half: cycle depths 2..creation_max_depth, half of
+    """Ramped half-and-half: cycle depths 2..CREATION_MAX_DEPTH, half of
     the individuals at each depth built with 'full', half with 'grow'."""
     config.validate()
     if rng is None:
         rng = SplitMix64(config.rng_seed)
     ramp = [
         (depth, method)
-        for depth in range(2, config.creation_max_depth + 1)
+        for depth in range(2, CREATION_MAX_DEPTH + 1)
         for method in ("full", "grow")
     ]
     population = []
@@ -311,16 +304,13 @@ def create_initial_population(config: GpConfig, rng: SplitMix64 | None = None):
 
 
 def crossover(
-    parent_a: InitProgram,
-    parent_b: InitProgram,
-    rng: SplitMix64,
-    max_depth: int,
+    parent_a: InitProgram, parent_b: InitProgram, rng: SplitMix64
 ) -> InitProgram | None:
     """Subtree crossover within one uniformly chosen fragment.
 
     Fragments are exchanged like-for-like (PRE with PRE and so on), which
     keeps loop-only terminals inside IN.  Returns None when the child
-    would exceed max_depth.
+    would exceed CROSSOVER_MAX_DEPTH.
     """
     fragment = ("pre", "in_loop", "post")[rng.randrange(3)]
     tree_a = getattr(parent_a, fragment)
@@ -329,7 +319,7 @@ def crossover(
     point_b = rng.randrange(node_count(tree_b))
     donor = subtree_at(tree_b, point_b)
     new_tree = replace_subtree(tree_a, point_a, donor)
-    if tree_depth(new_tree) > max_depth:
+    if tree_depth(new_tree) > CROSSOVER_MAX_DEPTH:
         return None
     return replace(parent_a, **{fragment: new_tree})
 
@@ -369,14 +359,11 @@ def _best_index(population) -> int:
 
 def _victim_index(population, rng: SplitMix64, size: int, protected: int) -> int:
     """Inverse tournament: the sampled individual with the highest fitness,
-    never the protected (best-so-far) slot."""
+    never the protected (best-so-far) slot.  size >= 2 draws distinct
+    indices, so at least one candidate is not the protected slot."""
     candidates = [
         c for c in _sample_indices(rng, len(population), size) if c != protected
     ]
-    while not candidates:  # only possible when size == 1 hit the best slot
-        candidates = [
-            c for c in _sample_indices(rng, len(population), size) if c != protected
-        ]
     victim = candidates[0]
     for c in candidates[1:]:
         if population[c].fitness > population[victim].fitness:
@@ -406,14 +393,12 @@ def step_steady_state(
 
         child = None
         u = rng.random()
-        if u < config.crossover_prob:
-            child_prog = crossover(
-                parent_a.program, parent_b.program, rng, config.crossover_max_depth
-            )
+        if u < CROSSOVER_PROB:
+            child_prog = crossover(parent_a.program, parent_b.program, rng)
             if child_prog is not None:
                 child = Individual(child_prog, origin="crossover")
-        elif u < config.crossover_prob + config.creation_prob:
-            depth = 2 + rng.randrange(config.creation_max_depth - 1)
+        elif u < CROSSOVER_PROB + CREATION_PROB:
+            depth = 2 + rng.randrange(CREATION_MAX_DEPTH - 1)
             method = "full" if rng.flip() else "grow"
             child = random_individual(rng, depth, method)
         if child is None:
@@ -484,6 +469,11 @@ def run_evolution(
     across runs on the same case set would make later runs nearly free.
     """
     config.validate()
+    if population is not None and len(population) != config.population_size:
+        raise ValueError(
+            f"population has {len(population)} individuals,"
+            f" population_size is {config.population_size}"
+        )
     if rng is None:
         rng = SplitMix64(config.rng_seed)
     if population is None:
@@ -543,7 +533,8 @@ def load_checkpoint(text: str, cases: FitnessCaseSet, population_size: int):
     """Inverse of save_checkpoint; returns (population, generation, rng).
 
     Raises ValueError, naming the field, when the checkpoint was made for
-    another population size, solver configuration or set of fitness cases.
+    another population size, solver configuration or set of fitness cases,
+    and when its individuals do not match its header.
     """
     lines = text.splitlines()
     header = lines[0] if lines else ""
@@ -557,14 +548,18 @@ def load_checkpoint(text: str, cases: FitnessCaseSet, population_size: int):
                 f" this run has {expected}"
             )
     generation = int(fields["generation"])
-    rng = SplitMix64(0)
-    rng.state = int(fields["rng_state"])
+    rng = SplitMix64(int(fields["rng_state"]))  # a stored state is below 2**64
     population = []
-    for line in lines[1:]:
+    for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        fit_text, prog_text = line.split("\t", 1)
-        ind = Individual(parse_program(prog_text))
-        ind.fitness = float(fit_text)
-        population.append(ind)
+        fit_text, tab, prog_text = line.partition("\t")
+        if not tab:
+            raise ValueError(f"checkpoint line {line_no}: expected fitness TAB program")
+        population.append(Individual(parse_program(prog_text), fitness=float(fit_text)))
+    if len(population) != population_size:
+        raise ValueError(
+            f"checkpoint holds {len(population)} individuals,"
+            f" its header says population_size={population_size}"
+        )
     return population, generation, rng

@@ -170,13 +170,16 @@ def run_histogram(
 
     Sample i draws its activities from child seed i of master_seed (see
     rng.spawn_seeds), so any sample can be replayed later.  Raises
-    ValueError when the baseline solves without conflicts, because
+    ValueError, before any search, for a range whose lo, hi or width is
+    not finite, and when the baseline solves without conflicts, because
     percentages of zero are undefined.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not lo < hi and not (lo == hi == 0.0):
         raise ValueError("need lo < hi (or the degenerate all-zero range 0:0)")
+    if not all(math.isfinite(x) for x in (lo, hi, hi - lo)):
+        raise ValueError(f"range {lo}:{hi}: lo, hi and hi - lo must be finite")
 
     base_out = solve_with_baseline(cnf, config)
     if base_out.conflicts == 0:

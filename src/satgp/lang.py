@@ -28,7 +28,8 @@ table, _INFIX, shared by parser and printer.
 
 `compute_activities` sweeps the clause list once, updating per-variable
 register banks; `reference_compute_activities` is the naive per-variable
-double loop kept as an independent oracle.  Both must agree bitwise.
+double loop kept as an independent oracle, and the only one that checks
+the loop-terminal ranges before each IN run.  Both must agree bitwise.
 """
 
 from __future__ import annotations
@@ -338,7 +339,6 @@ def compute_activities(
     cnf: Cnf,
     stats: VarStats | None = None,
     *,
-    check_bounds: bool = False,
     counters: dict | None = None,
 ) -> list[float]:
     """Run the program over the CNF in a single clause sweep.
@@ -355,8 +355,7 @@ def compute_activities(
     evaluations are bounded by in_tree_size * that sum plus
     (pre_size + post_size) * num_vars.
 
-    check_bounds validates the documented loop-terminal ranges on every IN
-    execution; counters (a dict) receives 'node_evals' and 'in_executions'.
+    counters (a dict) receives 'node_evals' and 'in_executions'.
     """
     stats = _checked_stats(prog, cnf, stats)
     n = cnf.num_vars
@@ -393,8 +392,6 @@ def compute_activities(
                 ctx.ln, ctx.lp, ctx.lc = xnf[lv], xpf[lv], xcf[lv]
                 ctx.ls = 1.0 if lit_l > 0 else 0.0
                 ctx.il = float(il)
-                if check_bounds:
-                    _check_in_bounds(ctx)
                 eval_node(in_tree, ctx, bank)
                 in_runs += 1
                 il += 1
@@ -413,16 +410,14 @@ def compute_activities(
 
 
 def reference_compute_activities(
-    prog: InitProgram,
-    cnf: Cnf,
-    stats: VarStats | None = None,
-    *,
-    check_bounds: bool = False,
+    prog: InitProgram, cnf: Cnf, stats: VarStats | None = None
 ) -> list[float]:
     """Direct per-variable transcription of the template; testing oracle.
 
     Deliberately naive: for each variable it walks the whole clause list
-    looking for occurrences.  Must equal compute_activities bitwise.
+    looking for occurrences.  Before every IN execution it checks the
+    documented loop-terminal ranges and raises RuntimeError on a breach.
+    Must equal compute_activities bitwise.
     """
     stats = _checked_stats(prog, cnf, stats)
     n = cnf.num_vars
@@ -460,8 +455,7 @@ def reference_compute_activities(
                 ctx.lc = float(stats.xc[lv])
                 ctx.ls = 1.0 if lit_l > 0 else 0.0
                 ctx.il = float(il)
-                if check_bounds:
-                    _check_in_bounds(ctx)
+                _check_in_bounds(ctx)
                 eval_node(prog.in_loop, ctx, regs)
                 il += 1
             ic += 1

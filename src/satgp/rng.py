@@ -57,9 +57,6 @@ class SplitMix64:
             if x < limit:
                 return x % n
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
     def flip(self) -> bool:
         return bool(self.next_u64() & 1)
 

@@ -15,6 +15,8 @@ from conftest import make_random_cnf
 from oracles import model_satisfies, truth_table_satisfiable
 from satgp.cnf import Cnf, preprocess_bcp, random_3sat, reorder
 from satgp.gp import (
+    CREATION_MAX_DEPTH,
+    CROSSOVER_MAX_DEPTH,
     FitnessCaseSet,
     GpConfig,
     create_initial_population,
@@ -245,9 +247,9 @@ def test_criterion_08_gp_mechanics():
         def audit(child):
             validate_program(child.program)
             if child.origin.startswith(("full", "grow")):
-                limit = config.creation_max_depth
+                limit = CREATION_MAX_DEPTH
             else:
-                limit = config.crossover_max_depth
+                limit = CROSSOVER_MAX_DEPTH
             for _, tree in child.program.fragments():
                 assert tree_depth(tree) <= limit
             audited.append(child)
@@ -256,7 +258,7 @@ def test_criterion_08_gp_mechanics():
         for ind in initial:
             validate_program(ind.program)
             for _, tree in ind.program.fragments():
-                assert tree_depth(tree) <= config.creation_max_depth
+                assert tree_depth(tree) <= CREATION_MAX_DEPTH
 
         best, log = run_evolution(cases, config, on_child=audit)
         elapsed = time.perf_counter() - start

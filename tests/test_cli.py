@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from oracles import model_satisfies
+from satgp import harness
 from satgp.cli import EXIT_ERROR, EXIT_SAT, EXIT_UNSAT, main
 from satgp.cnf import (
     random_3sat,
@@ -175,6 +176,18 @@ class TestHistogram:
                      "--out", str(workdir / "h")])
         assert code == EXIT_ERROR
 
+    @pytest.mark.parametrize("flag", [["--range", "0:inf"], ["--range=-1e308:1e308"]])
+    def test_non_finite_range_refused_before_search(
+        self, bundled_file, workdir, capsys, monkeypatch, flag
+    ):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before checking the range")
+
+        monkeypatch.setattr(harness, "solve_with_baseline", no_search)
+        code = main(["histogram", bundled_file, *flag, "--out", str(workdir / "h")])
+        assert code == EXIT_ERROR
+        assert "hi - lo must be finite" in capsys.readouterr().err
+
     def test_jobs_flag_does_not_change_artifacts(self, bundled_file, workdir, capsys):
         for name, jobs in (("j1", "1"), ("j2", "2")):
             assert main(["histogram", bundled_file, "--samples", "8",
@@ -250,6 +263,16 @@ class TestEvolve:
         assert code == EXIT_ERROR
         assert f"checkpoint {field}" in capsys.readouterr().err
         assert not (resumed / "evolution_log.csv").exists()
+
+    def test_truncated_checkpoint_refused(self, bundled_file, workdir, capsys):
+        base = ["evolve", bundled_file, "--pop", "6", "--seed", "11"]
+        assert main(base + ["--gens", "1", "--out", str(workdir / "part")]) == 0
+        checkpoint = workdir / "part" / "checkpoint.txt"
+        checkpoint.write_text("".join(checkpoint.read_text().splitlines(True)[:3]))
+        code = main(base + ["--gens", "2", "--out", str(workdir / "resumed"),
+                            "--resume", str(checkpoint)])
+        assert code == EXIT_ERROR
+        assert "holds 2 individuals" in capsys.readouterr().err
 
     def test_resume_without_generations_left_refused(self, bundled_file, workdir, capsys):
         base = ["evolve", bundled_file, "--pop", "6", "--seed", "11"]

@@ -6,10 +6,8 @@ from conftest import make_random_cnf
 from satgp.cnf import (
     Cnf,
     DimacsError,
-    IDENTITY_SEED,
     compute_var_stats,
     parse_dimacs,
-    parse_dimacs_report,
     preprocess_bcp,
     random_3sat,
     read_mapping,
@@ -27,18 +25,16 @@ class TestParse:
         assert cnf.clauses == ((1, 2), (-1, 2))
 
     def test_tautology_dropped(self):
-        cnf, report = parse_dimacs_report("p cnf 1 1\n1 -1 0\n")
-        assert cnf.clauses == ()
-        assert report.tautologies_dropped == 1
+        cnf = parse_dimacs("p cnf 1 2\n1 -1 0\n1 0\n")
+        assert cnf.clauses == ((1,),)
 
     def test_variable_out_of_range(self):
         with pytest.raises(DimacsError, match="variable 4 exceeds declared 3"):
             parse_dimacs("p cnf 3 1\n4 0\n")
 
     def test_duplicate_literal_removed(self):
-        cnf, report = parse_dimacs_report("p cnf 2 1\n1 1 2 0\n")
+        cnf = parse_dimacs("p cnf 2 1\n1 1 2 1 0\n")
         assert cnf.clauses == ((1, 2),)
-        assert report.duplicate_literals_removed == 1
 
     def test_comments_crlf_and_multiline_clause(self):
         text = "c hello\r\np cnf 3 1\r\n1 2\r\n3 0\r\n"
@@ -177,12 +173,15 @@ class TestReorder:
         assert map_a.inverted == map_b.inverted
         assert map_a.clause_map == map_b.clause_map
 
-    def test_identity_sentinel(self):
+    def test_negative_seed_is_an_ordinary_shuffle(self):
         cnf = random_3sat(10, 20, seed=1)
-        out, mapping = reorder(cnf, IDENTITY_SEED)
-        assert out == cnf
-        assert mapping.var_map == list(range(cnf.num_vars + 1))
-        assert not any(mapping.inverted)
+        out, mapping = reorder(cnf, -1)
+        assert out != cnf
+        assert mapping.var_map != list(range(cnf.num_vars + 1))
+        assert out == reorder(cnf, 2**64 - 1)[0]  # seeds are taken mod 2**64
+        for new_idx, clause in enumerate(out.clauses):
+            original = cnf.clauses[mapping.clause_map[new_idx]]
+            assert tuple(mapping.unmap_literal(l) for l in clause) == original
 
     def test_inverse_mapping_recovers_input(self):
         rng = SplitMix64(31)

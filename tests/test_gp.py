@@ -41,7 +41,6 @@ def small_config(**overrides) -> GpConfig:
     base = dict(
         population_size=16,
         generations=2,
-        tournament_size=4,
         rng_seed=9,
     )
     base.update(overrides)
@@ -52,15 +51,21 @@ class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("generations", -2),
         ("population_size", 1),
-        ("tournament_size", 0),
-        ("crossover_prob", 1.5),
-        ("creation_prob", -0.1),
-        ("creation_max_depth", 1),
-        ("crossover_max_depth", 5),
     ])
     def test_bad_config_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             GpConfig(**{field: value}).validate()
+
+    def test_tournament_size_is_ten_or_the_population(self):
+        assert GpConfig(population_size=1000).tournament_size == 10
+        assert GpConfig(population_size=10).tournament_size == 10
+        assert GpConfig(population_size=4).tournament_size == 4
+
+    def test_small_population_evolves(self):
+        config = GpConfig(population_size=4, generations=2, rng_seed=3)
+        best, log = run_evolution(small_cases(), config)
+        assert [rec.generation for rec in log] == [0, 1, 2]
+        assert best.fitness == log[-1].best_fitness
 
 
 class TestFitness:
@@ -103,10 +108,10 @@ def is_full_shape(tree, target_depth):
 
 class TestCreation:
     def test_depth_bounds(self):
-        config = small_config(population_size=200, creation_max_depth=6)
+        config = small_config(population_size=200)
         for ind in create_initial_population(config):
             for _, tree in ind.program.fragments():
-                assert tree_depth(tree) <= 6
+                assert tree_depth(tree) <= gp.CREATION_MAX_DEPTH
 
     def test_deterministic(self):
         config = small_config(population_size=50)
@@ -127,7 +132,7 @@ class TestCreation:
                         assert node.kind in legal_outside
 
     def test_both_shapes_at_each_ramp_depth(self):
-        config = GpConfig(population_size=1000, tournament_size=10, rng_seed=4)
+        config = GpConfig(population_size=1000, rng_seed=4)
         population = create_initial_population(config)
         seen = {}
         for ind in population:
@@ -299,7 +304,7 @@ class TestCrossover:
         for _ in range(400):
             a = population[rng.randrange(len(population))]
             b = population[rng.randrange(len(population))]
-            child = crossover(a.program, b.program, rng, max_depth=17)
+            child = crossover(a.program, b.program, rng)
             if child is None:
                 continue
             made += 1
@@ -314,7 +319,7 @@ class TestCrossover:
         assert tree_depth(deep.in_loop) == 17
         rejected = 0
         for _ in range(200):
-            child = crossover(deep, deep, rng, max_depth=17)
+            child = crossover(deep, deep, rng)
             if child is None:
                 rejected += 1
         assert rejected > 0
@@ -441,3 +446,23 @@ class TestCheckpoint:
         old_header = text.split(" population_size=")[0] + "\n"
         with pytest.raises(ValueError, match="population_size is missing"):
             load_checkpoint(old_header, cases, 6)
+
+    def test_truncated_or_malformed_body_refused(self):
+        cases = small_cases()
+        config = small_config(population_size=6, generations=0)
+        state = {}
+        run_evolution(cases, config, state_out=state)
+        lines = save_checkpoint(state["population"], 0, state["rng"], cases).splitlines()
+        truncated = "\n".join(lines[:3]) + "\n"
+        with pytest.raises(ValueError, match="holds 2 individuals.*population_size=6"):
+            load_checkpoint(truncated, cases, 6)
+        lines[4] = lines[4].replace("\t", " ")
+        with pytest.raises(ValueError, match="checkpoint line 5: expected fitness TAB program"):
+            load_checkpoint("\n".join(lines) + "\n", cases, 6)
+
+    def test_population_of_other_size_refused(self):
+        cases = small_cases()
+        config = small_config(population_size=6, generations=1)
+        population = create_initial_population(small_config(population_size=4))
+        with pytest.raises(ValueError, match="population has 4 individuals"):
+            run_evolution(cases, config, population=population)

@@ -1,7 +1,7 @@
 import pytest
 
 from satgp import harness
-from satgp.cnf import Cnf, IDENTITY_SEED, preprocess_bcp, random_3sat
+from satgp.cnf import Cnf, preprocess_bcp, random_3sat
 from satgp.harness import (
     bundled_cnf,
     compare_reordered,
@@ -108,16 +108,6 @@ class TestWorkerPool:
 
 
 class TestCompareReordered:
-    def test_identity_seed_same_baseline(self):
-        comparison = compare_reordered(
-            bundled_cnf(), IDENTITY_SEED, 5, CONFIG, master_seed=11
-        )
-        assert comparison.kappa_ratio == 1.0
-        assert (
-            comparison.original.baseline.conflicts
-            == comparison.reordered.baseline.conflicts
-        )
-
     def test_verdicts_agree(self):
         # bundled instance is unsatisfiable; reordering must preserve that.
         cnf = bundled_cnf()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_random_cnf
+from satgp import lang
 from satgp.cnf import Cnf, preprocess_bcp, random_3sat
 from satgp.gp import random_individual
 from satgp.harness import bundled_cnf
@@ -227,14 +228,35 @@ class TestDualInterpreter:
         prog = parse_program("PRE: neg(4) / IN: exp(lc)+sgn(ls) / POST: sqrt(xc)")
         assert compute_activities(prog, cnf) == [0.0] * 8
 
-    def test_loop_terminal_bounds_hold(self):
+    def test_loop_terminal_bounds_hold(self, monkeypatch):
+        # The reference checks the terminal ranges before every IN run;
+        # the fast sweep has no check and must match it bit for bit.
+        checked = []
+        check = lang._check_in_bounds
+
+        def counting_check(ctx):
+            checked.append(ctx)
+            check(ctx)
+
+        monkeypatch.setattr(lang, "_check_in_bounds", counting_check)
         rng = SplitMix64(125)
         prog = parse_program("IN: add(ic+il+cs+ls+xs+ln+lp+lc)")
         for _ in range(40):
             cnf = make_random_cnf(rng, 3 + rng.randrange(8), 1 + rng.randrange(15),
                                   min_width=1, max_width=5)
-            compute_activities(prog, cnf, check_bounds=True)
-            reference_compute_activities(prog, cnf, check_bounds=True)
+            counters = {}
+            fast = compute_activities(prog, cnf, counters=counters)
+            checked.clear()
+            assert reference_compute_activities(prog, cnf) == fast
+            assert len(checked) == counters["in_executions"]
+
+    def test_bounds_check_rejects_out_of_range_terminals(self):
+        ctx = EvalContext()
+        ctx.xc, ctx.cs, ctx.ls = 1.0, 2.0, 1.0
+        lang._check_in_bounds(ctx)
+        ctx.ic = 1.0
+        with pytest.raises(RuntimeError, match="ic=1.0 outside"):
+            lang._check_in_bounds(ctx)
 
     def test_operation_counter_bound(self):
         cnf = random_3sat(12, 30, seed=11)
