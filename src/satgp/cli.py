@@ -37,8 +37,10 @@ from .cnf import (
     write_mapping,
 )
 from .gp import (
+    EvalMemo,
     FitnessCaseSet,
     GpConfig,
+    create_initial_population,
     load_checkpoint,
     run_evolution,
     save_checkpoint,
@@ -61,6 +63,7 @@ from .lang import (
     preset_program,
     print_program,
 )
+from .rng import SplitMix64
 from .solver import SolverConfig, solve
 
 EXIT_SAT = 10
@@ -270,7 +273,6 @@ def cmd_evolve(args) -> int:
     gp_config = GpConfig(
         population_size=args.pop, generations=args.gens, rng_seed=args.seed
     )
-    resume_kwargs = {}
     if args.resume:
         with open(args.resume) as fh:
             population, generation, rng = load_checkpoint(
@@ -281,14 +283,19 @@ def cmd_evolve(args) -> int:
                 f"--gens {args.gens} does not exceed the checkpoint's generation"
                 f" {generation}; nothing to evolve"
             )
-        resume_kwargs = {
-            "population": population,
-            "start_generation": generation,
-            "rng": rng,
-        }
-    state: dict = {}
+    else:
+        rng = SplitMix64(args.seed)
+        population = create_initial_population(gp_config, rng)
+        generation = 0
+    memo = EvalMemo()
     best, log = run_evolution(
-        cases, gp_config, jobs=args.jobs, state_out=state, **resume_kwargs
+        cases,
+        gp_config,
+        jobs=args.jobs,
+        population=population,
+        start_generation=generation,
+        rng=rng,
+        memo=memo,
     )
 
     out_dir = _out_dir(args)
@@ -305,12 +312,12 @@ def cmd_evolve(args) -> int:
     _write(
         out_dir,
         "checkpoint.txt",
-        save_checkpoint(state["population"], state["generation"], state["rng"], cases),
+        save_checkpoint(population, log[-1].generation, rng, cases),
     )
     _write_manifest(args, solver_config, args.seed, args.files)
     print(
-        f"{state['evaluations']} evaluations, {state['interpreter_runs']}"
-        f" interpreter runs, {state['searches']} searches"
+        f"{memo.evaluations} evaluations, {memo.interpreter_runs}"
+        f" interpreter runs, {memo.searches} searches"
     )
     print(f"best fitness {best.fitness!r} with {best.node_count} nodes:")
     print(f"  {print_program(best.program)}")

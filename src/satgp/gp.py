@@ -9,9 +9,9 @@ decision counts; lower is better.  Squaring makes balanced improvements
 across cases beat lopsided ones, decisions and tree size act as
 tie-breakers.
 
-One generation performs population_size replacement events.  Each event
-tournament-selects two parents (size min(10, population_size), lowest
-fitness wins) and creates one child by subtree crossover within a
+One generation performs len(population) replacement events.  Each event
+tournament-selects two parents (size min(TOURNAMENT_SIZE, len(population)),
+lowest fitness wins) and creates one child by subtree crossover within a
 uniformly chosen fragment (95%), by fresh ramped-half-and-half creation
 (2%, depths 2..6), or by copying a parent; these settings are module
 constants.  Children deeper than 17 are rejected and the parent is copied
@@ -21,8 +21,9 @@ reuse the parent's solver statistics: evaluation is deterministic.
 
 Each run_evolution call keeps an exact two-level evaluation memo
 (EvalMemo): a program text seen before skips the interpreter, and an
-initialization seen before on a case skips the solver.  It lives for
-one run only, so every run does the work of a fresh one.  With jobs > 1
+initialization seen before on a case skips the solver.  It serves one
+run only (made there, or handed in fresh by a caller that reads its
+counters), so every run does the work of a fresh one.  With jobs > 1
 the distinct new texts of the initial population are evaluated in a
 worker pool (harness.map_shared) and fill the memo; results never depend
 on the worker count.
@@ -60,6 +61,7 @@ _FUNCTION_NAMES = tuple(FUNCTIONS)
 
 # The operator settings of the paper's runs; no caller varies them.
 CROSSOVER_PROB = 0.95
+TOURNAMENT_SIZE = 10  # or the whole population when it is smaller
 CREATION_PROB = 0.02
 CREATION_MAX_DEPTH = 6
 CROSSOVER_MAX_DEPTH = 17
@@ -70,11 +72,6 @@ class GpConfig:
     population_size: int = 1000
     generations: int = 5
     rng_seed: int = 0
-
-    @property
-    def tournament_size(self) -> int:
-        """Ten, or the whole population when it is smaller."""
-        return min(10, self.population_size)
 
     def validate(self) -> None:
         if self.generations < 0:
@@ -326,6 +323,8 @@ def crossover(
 
 def _sample_indices(rng: SplitMix64, n: int, k: int) -> list[int]:
     """k distinct indices from range(n), in draw order."""
+    if k > n:
+        raise ValueError(f"cannot draw k={k} distinct indices from n={n}")
     seen: set[int] = set()
     out: list[int] = []
     while len(out) < k:
@@ -374,22 +373,29 @@ def _victim_index(population, rng: SplitMix64, size: int, protected: int) -> int
 def step_steady_state(
     population,
     cases: FitnessCaseSet,
-    config: GpConfig,
     rng: SplitMix64,
     on_child=None,
     memo: EvalMemo | None = None,
 ):
-    """Run population_size replacement events in place; returns population.
+    """Run len(population) replacement events in place; returns population.
 
-    on_child, when given, is called with every freshly created Individual
-    after evaluation (used by tests to audit depth and terminal rules).
+    Tournaments hold min(TOURNAMENT_SIZE, len(population)) individuals;
+    a population of fewer than 2 is refused with ValueError.  on_child,
+    when given, is called with every freshly created Individual after
+    evaluation (used by tests to audit depth and terminal rules).
     Children are evaluated through `memo`, or a memo of this call only.
     """
+    if len(population) < 2:
+        raise ValueError(
+            f"population has {len(population)} individuals;"
+            " a steady-state step needs at least 2"
+        )
     if memo is None:
         memo = EvalMemo()
-    for _ in range(config.population_size):
-        parent_a = tournament_select(population, rng, config.tournament_size)
-        parent_b = tournament_select(population, rng, config.tournament_size)
+    size = min(TOURNAMENT_SIZE, len(population))
+    for _ in range(len(population)):
+        parent_a = tournament_select(population, rng, size)
+        parent_b = tournament_select(population, rng, size)
 
         child = None
         u = rng.random()
@@ -418,7 +424,7 @@ def step_steady_state(
             on_child(child)
 
         best = _best_index(population)
-        victim = _victim_index(population, rng, config.tournament_size, best)
+        victim = _victim_index(population, rng, size, best)
         population[victim] = child
     return population
 
@@ -452,21 +458,23 @@ def run_evolution(
     population=None,
     start_generation: int = 0,
     rng: SplitMix64 | None = None,
-    state_out: dict | None = None,
+    memo: EvalMemo | None = None,
 ):
     """Create, evaluate and evolve a population.
 
     Returns (best individual, list of GenerationRecord).  Record 0
     describes the evaluated random population; generations=0 therefore
-    returns the best purely random individual.  population /
-    start_generation / rng allow resuming from a checkpoint; a resumed run
-    continues the exact random stream of an uninterrupted one.  When given,
-    state_out receives the final 'population', 'rng' and 'generation' for
-    checkpointing, and the run's 'evaluations', 'interpreter_runs' and
-    'searches' counts.
+    returns the best purely random individual; the last generation run is
+    log[-1].generation.  population / start_generation / rng allow
+    resuming from a checkpoint; a resumed run continues the exact random
+    stream of an uninterrupted one.  A given population and rng are
+    advanced in place, so after the call they are the state to checkpoint,
+    and the returned best is an element of the population list.
 
-    All evaluations of the run share one EvalMemo, made here: a memo kept
-    across runs on the same case set would make later runs nearly free.
+    All evaluations of the run share one EvalMemo: the given one, whose
+    counters then tally the run, or one made here.  Pass a fresh memo: one
+    kept across runs on the same case set would make later runs nearly
+    free.
     """
     config.validate()
     if population is not None and len(population) != config.population_size:
@@ -478,23 +486,15 @@ def run_evolution(
         rng = SplitMix64(config.rng_seed)
     if population is None:
         population = create_initial_population(config, rng)
-    memo = EvalMemo()
+    if memo is None:
+        memo = EvalMemo()
     evaluate_population(population, cases, jobs=jobs, memo=memo)
 
     log = [_record(start_generation, population)]
-    gen = start_generation
     for gen in range(start_generation + 1, config.generations + 1):
-        step_steady_state(population, cases, config, rng, on_child=on_child, memo=memo)
+        step_steady_state(population, cases, rng, on_child=on_child, memo=memo)
         log.append(_record(gen, population))
-    best = population[_best_index(population)]
-    if state_out is not None:
-        state_out["population"] = population
-        state_out["rng"] = rng
-        state_out["generation"] = max(gen, start_generation)
-        state_out["evaluations"] = memo.evaluations
-        state_out["interpreter_runs"] = memo.interpreter_runs
-        state_out["searches"] = memo.searches
-    return best, log
+    return population[_best_index(population)], log
 
 
 # ---------------------------------------------------------------------------

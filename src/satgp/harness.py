@@ -60,15 +60,6 @@ def round_half_away(x: float) -> int:
 
 
 @dataclass
-class BaselineRecord:
-    problem: str
-    conflicts: int  # k0
-    decisions: int
-    wall_time: float
-    config_hash: str
-
-
-@dataclass
 class SampleRow:
     sample_id: int
     seed: int
@@ -79,12 +70,17 @@ class SampleRow:
 
 @dataclass
 class HistogramReport:
+    """One histogram run.  baseline is the zero-initialization search
+    (its conflicts are k0); config_hash, of the solver configuration,
+    goes into the CSV comment line."""
+
     problem: str
     samples: int
     lo: float
     hi: float
     master_seed: int
-    baseline: BaselineRecord
+    config_hash: str
+    baseline: SolveOutcome
     bins: dict[int, int]
     rows: list[SampleRow]
     min_conflicts: int
@@ -181,16 +177,9 @@ def run_histogram(
     if not all(math.isfinite(x) for x in (lo, hi, hi - lo)):
         raise ValueError(f"range {lo}:{hi}: lo, hi and hi - lo must be finite")
 
-    base_out = solve_with_baseline(cnf, config)
-    if base_out.conflicts == 0:
+    baseline = solve_with_baseline(cnf, config)
+    if baseline.conflicts == 0:
         raise ValueError("baseline has no conflicts; histogram undefined")
-    baseline = BaselineRecord(
-        problem=problem,
-        conflicts=base_out.conflicts,
-        decisions=base_out.decisions,
-        wall_time=base_out.wall_time,
-        config_hash=config_hash(config),
-    )
 
     seeds = spawn_seeds(master_seed, samples)
     results = map_shared(_histogram_sample, (cnf, lo, hi, config), seeds, jobs)
@@ -210,6 +199,7 @@ def run_histogram(
         lo=lo,
         hi=hi,
         master_seed=master_seed,
+        config_hash=config_hash(config),
         baseline=baseline,
         bins=bins,
         rows=rows,
@@ -357,7 +347,7 @@ def csv_header_comment(cfg_hash: str, master_seed: int) -> str:
 def histogram_csv(report: HistogramReport) -> str:
     """percent,count rows sorted by percent."""
     buf = io.StringIO()
-    buf.write(csv_header_comment(report.baseline.config_hash, report.master_seed) + "\n")
+    buf.write(csv_header_comment(report.config_hash, report.master_seed) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["percent", "count"])
     for percent in sorted(report.bins):
@@ -367,7 +357,7 @@ def histogram_csv(report: HistogramReport) -> str:
 
 def samples_csv(report: HistogramReport) -> str:
     buf = io.StringIO()
-    buf.write(csv_header_comment(report.baseline.config_hash, report.master_seed) + "\n")
+    buf.write(csv_header_comment(report.config_hash, report.master_seed) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["sample_id", "seed", "conflicts", "decisions", "percent"])
     for row in report.rows:

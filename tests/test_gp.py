@@ -56,11 +56,6 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             GpConfig(**{field: value}).validate()
 
-    def test_tournament_size_is_ten_or_the_population(self):
-        assert GpConfig(population_size=1000).tournament_size == 10
-        assert GpConfig(population_size=10).tournament_size == 10
-        assert GpConfig(population_size=4).tournament_size == 4
-
     def test_small_population_evolves(self):
         config = GpConfig(population_size=4, generations=2, rng_seed=3)
         best, log = run_evolution(small_cases(), config)
@@ -252,9 +247,9 @@ class TestMemo:
         calls = count_solves(monkeypatch)
         counts = []
         for _ in range(2):
-            state = {}
-            run_evolution(cases, config, state_out=state)
-            counts.append((len(calls), state["searches"]))
+            memo = EvalMemo()
+            run_evolution(cases, config, memo=memo)
+            counts.append((len(calls), memo.searches))
             calls.clear()
         assert counts[0] == counts[1]
         assert counts[0][0] == counts[0][1] > 0
@@ -264,11 +259,15 @@ class TestMemo:
         config = small_config(population_size=12, generations=1)
         runs = []
         for jobs in (1, 2):
-            state = {}
-            best, log = run_evolution(cases, config, jobs=jobs, state_out=state)
-            runs.append((log, best.per_case, state["evaluations"],
-                         state["interpreter_runs"],
-                         [(i.fitness, i.per_case) for i in state["population"]]))
+            rng = SplitMix64(config.rng_seed)
+            population = create_initial_population(config, rng)
+            memo = EvalMemo()
+            best, log = run_evolution(
+                cases, config, jobs=jobs, population=population, rng=rng, memo=memo
+            )
+            assert any(best is ind for ind in population)
+            runs.append((log, best.per_case, memo.evaluations, memo.interpreter_runs,
+                         [(i.fitness, i.per_case) for i in population], rng.state))
         assert runs[0] == runs[1]
 
 
@@ -293,6 +292,11 @@ class TestSelection:
         rng = SplitMix64(4)
         picks = {id(tournament_select(population, rng, 1)) for _ in range(60)}
         assert len(picks) > 1
+
+    def test_tournament_larger_than_population_refused(self):
+        population = create_initial_population(small_config(population_size=4))
+        with pytest.raises(ValueError, match="k=5.*n=4"):
+            tournament_select(population, SplitMix64(1), 5)
 
 
 class TestCrossover:
@@ -333,7 +337,7 @@ class TestSteadyState:
         population = create_initial_population(config, rng)
         evaluate_population(population, cases)
         best_before = min(i.fitness for i in population)
-        step_steady_state(population, cases, config, rng)
+        step_steady_state(population, cases, rng)
         assert len(population) == 14
         assert min(i.fitness for i in population) <= best_before
 
@@ -344,13 +348,28 @@ class TestSteadyState:
         population = create_initial_population(config, rng)
         evaluate_population(population, cases)
         children = []
-        step_steady_state(population, cases, config, rng, on_child=children.append)
+        step_steady_state(population, cases, rng, on_child=children.append)
         assert len(children) == 12
         for child in children:
             validate_program(child.program)
             limit = 6 if child.origin.startswith(("full", "grow")) else 17
             for _, tree in child.program.fragments():
                 assert tree_depth(tree) <= limit
+
+    def test_small_population_has_one_event_per_individual(self):
+        # Four individuals: tournaments of four, four replacement events.
+        cases = small_cases()
+        rng = SplitMix64(3)
+        population = create_initial_population(small_config(population_size=4), rng)
+        evaluate_population(population, cases)
+        children = []
+        step_steady_state(population, cases, rng, on_child=children.append)
+        assert len(children) == 4
+
+    def test_population_below_two_refused(self):
+        population = create_initial_population(small_config(population_size=4))
+        with pytest.raises(ValueError, match="population has 1 individuals"):
+            step_steady_state(population[:1], small_cases(), SplitMix64(1))
 
 
 class TestRunEvolution:
@@ -388,15 +407,11 @@ class TestRunEvolution:
         full_config = small_config(population_size=10, generations=3)
         _, log_full = run_evolution(cases, full_config)
 
-        partial_state = {}
         part_config = small_config(population_size=10, generations=2)
-        _, log_part = run_evolution(cases, part_config, state_out=partial_state)
-        checkpoint = save_checkpoint(
-            partial_state["population"],
-            partial_state["generation"],
-            partial_state["rng"],
-            cases,
-        )
+        rng = SplitMix64(part_config.rng_seed)
+        population = create_initial_population(part_config, rng)
+        _, log_part = run_evolution(cases, part_config, population=population, rng=rng)
+        checkpoint = save_checkpoint(population, log_part[-1].generation, rng, cases)
         population, generation, rng = load_checkpoint(checkpoint, cases, 10)
         _, log_resumed = run_evolution(
             cases,
@@ -408,29 +423,31 @@ class TestRunEvolution:
         assert log_resumed[-1] == log_full[-1]
 
 
+def evolved(cases):
+    """(population, generation, rng) after a 6-individual generation-0 run."""
+    config = small_config(population_size=6, generations=0)
+    rng = SplitMix64(config.rng_seed)
+    population = create_initial_population(config, rng)
+    _, log = run_evolution(cases, config, population=population, rng=rng)
+    return population, log[-1].generation, rng
+
+
 class TestCheckpoint:
     def test_roundtrip(self):
         cases = small_cases()
-        config = small_config(population_size=6, generations=0)
-        state = {}
-        run_evolution(cases, config, state_out=state)
-        text = save_checkpoint(state["population"], 0, state["rng"], cases)
+        run_population, run_generation, run_rng = evolved(cases)
+        text = save_checkpoint(run_population, run_generation, run_rng, cases)
         population, generation, rng = load_checkpoint(text, cases, 6)
-        assert generation == 0
-        assert rng.state == state["rng"].state
+        assert generation == run_generation == 0
+        assert rng.state == run_rng.state
         assert [print_program(i.program) for i in population] == [
-            print_program(i.program) for i in state["population"]
+            print_program(i.program) for i in run_population
         ]
-        assert [i.fitness for i in population] == [
-            i.fitness for i in state["population"]
-        ]
+        assert [i.fitness for i in population] == [i.fitness for i in run_population]
 
     def test_mismatch_refused(self):
         cases = small_cases()
-        config = small_config(population_size=6, generations=0)
-        state = {}
-        run_evolution(cases, config, state_out=state)
-        text = save_checkpoint(state["population"], 0, state["rng"], cases)
+        text = save_checkpoint(*evolved(cases), cases)
         other_cnf = FitnessCaseSet.from_cnfs(
             [("case0", random_3sat(20, 85, seed=78))], cases.solver_config
         )
@@ -449,10 +466,7 @@ class TestCheckpoint:
 
     def test_truncated_or_malformed_body_refused(self):
         cases = small_cases()
-        config = small_config(population_size=6, generations=0)
-        state = {}
-        run_evolution(cases, config, state_out=state)
-        lines = save_checkpoint(state["population"], 0, state["rng"], cases).splitlines()
+        lines = save_checkpoint(*evolved(cases), cases).splitlines()
         truncated = "\n".join(lines[:3]) + "\n"
         with pytest.raises(ValueError, match="holds 2 individuals.*population_size=6"):
             load_checkpoint(truncated, cases, 6)
