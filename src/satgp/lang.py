@@ -26,9 +26,10 @@ lazy `if`, setv1, setv2).  The FUNCTIONS arity table is derived from
 them, and the text format's infix operators (+ - * %) come from one
 table, _INFIX, shared by parser and printer.
 
-`compute_activities` sweeps the clause list once, updating per-variable
-register banks; `reference_compute_activities` is the naive per-variable
-double loop kept as an independent oracle, and the only one that checks
+`compute_activities` builds one closure per tree node on each call and
+runs the template with them, counting node evaluations exactly from each
+fragment's static size and the `if` branches taken.  The oracle
+`reference_compute_activities` walks the trees with eval_node and checks
 the loop-terminal ranges before each IN run.  Both must agree bitwise.
 """
 
@@ -81,10 +82,12 @@ def node_count(tree: Node) -> int:
 
 
 def tree_depth(tree: Node) -> int:
-    """Depth counted in nodes: a lone terminal has depth 1."""
-    if not tree.children:
-        return 1
-    return 1 + max(tree_depth(c) for c in tree.children)
+    """Depth counted in nodes (a lone terminal has depth 1), level by level."""
+    depth, level = 0, [tree]
+    while level:
+        depth += 1
+        level = [child for node in level for child in node.children]
+    return depth
 
 
 def iter_nodes(tree: Node):
@@ -176,9 +179,7 @@ class Registers:
     __slots__ = ("a0", "v1", "v2")
 
     def __init__(self):
-        self.a0 = 0.0
-        self.v1 = 0.0
-        self.v2 = 0.0
+        self.a0 = self.v1 = self.v2 = 0.0
 
 
 class EvalContext:
@@ -334,6 +335,63 @@ def _checked_stats(prog: InitProgram, cnf: Cnf, stats: VarStats | None) -> VarSt
     return stats
 
 
+# Positions in the state list a program's closures share: the register
+# bank, then the terminals bound for the current variable, clause and literal.
+_SLOT = {name: i for i, name in enumerate((
+    "a0", "v1", "v2", "xn", "xp", "xc", "nv", "nc",
+    "cs", "xs", "ic", "ln", "lp", "lc", "ls", "il"))}
+
+
+def _closure(node: Node, s: list[float], taken: list[int]):
+    """Build a closure that evaluates `node` as eval_node does, on state `s`.
+
+    Returns (closure, static count), the static count being the nodes
+    evaluated on every run: all but those inside `if` branches.  A taken
+    branch adds its own static count to taken[0] when it runs.
+    """
+    kind, ch = node.kind, node.children
+    if not ch:
+        c = _CONSTANTS.get(kind)
+        if c is not None:
+            return (lambda: c), 1
+        k = _SLOT[kind]
+        return (lambda: s[k]), 1
+    built = [_closure(child, s, taken) for child in ch]
+    if kind == "if":
+        (cond, n_cond), (yes, n_yes), (no, n_no) = built
+
+        def branch():
+            if cond() > 0.0:
+                taken[0] += n_yes
+                return _clamp(yes())
+            taken[0] += n_no
+            return _clamp(no())
+
+        return branch, 1 + n_cond
+    count = 1 + sum(n for _, n in built)
+    x = built[0][0]
+    f = _PURE.get(kind)
+    if f is not None:
+        if len(built) == 1:
+            return (lambda: f(x())), count
+        y = built[1][0]
+        if len(built) == 2:
+            return (lambda: f(x(), y())), count
+        z = built[2][0]
+        return (lambda: f(x(), y(), z())), count
+    # add sub mul div set write a0; setv1 and setv2 write v1 and v2 as
+    # `set` writes a0.  The child runs before the register is read.
+    f = _A0_WRITERS.get(kind, _A0_WRITERS["set"])
+    k = _SLOT.get(kind.removeprefix("set"), 0)
+
+    def write():
+        v = x()
+        s[k] = r = f(s[k], v)
+        return r
+
+    return write, count
+
+
 def compute_activities(
     prog: InitProgram,
     cnf: Cnf,
@@ -341,21 +399,17 @@ def compute_activities(
     *,
     counters: dict | None = None,
 ) -> list[float]:
-    """Run the program over the CNF in a single clause sweep.
+    """Run the program's closures over the CNF, one variable at a time.
 
-    Result index v-1 holds the activity of variable v.  Each variable has
-    its own register bank; the sweep runs PRE for every variable, then
-    visits each clause once (binary clauses first), running IN for every
-    (member variable X, other literal L) combination, then runs POST.
-    For a fixed variable this performs exactly the operations of the
-    per-variable template, so it matches reference_compute_activities
-    bitwise.
+    Result index v-1 holds the activity of variable v.  Each call builds
+    one closure per tree node, then runs the per-variable template: PRE,
+    IN for every (clause containing X, other literal L) in the pinned
+    clause order, POST.  It matches reference_compute_activities bitwise.
 
-    Cost: IN runs exactly sum over clauses of |C|*(|C|-1) times, so node
-    evaluations are bounded by in_tree_size * that sum plus
-    (pre_size + post_size) * num_vars.
-
-    counters (a dict) receives 'node_evals' and 'in_executions'.
+    counters (a dict) receives 'in_executions', which is the sum over
+    clauses of |C|*(|C|-1), and 'node_evals', exactly eval_node's count:
+    num_vars*(|PRE| + |POST|) + in_executions*|IN| plus the static count
+    of every `if` branch taken, |T| counting the nodes outside branches.
     """
     stats = _checked_stats(prog, cnf, stats)
     n = cnf.num_vars
@@ -363,48 +417,36 @@ def compute_activities(
     xpf = [float(x) for x in stats.xp]
     xcf = [float(x) for x in stats.xc]
 
-    ctx = EvalContext()
-    ctx.nv, ctx.nc = float(n), float(len(cnf.clauses))
-    regs = [Registers() for _ in range(n + 1)]
-    in_runs = 0
+    s = [0.0] * len(_SLOT)
+    s[6], s[7] = float(n), float(len(cnf.clauses))  # nv, nc
+    taken = [0]
+    (pre, n_pre), (in_tree, n_in), (post, n_post) = (
+        _closure(tree, s, taken) for _, tree in prog.fragments())
 
-    pre, in_tree, post = prog.pre, prog.in_loop, prog.post
-
-    for v in range(1, n + 1):
-        ctx.xn, ctx.xp, ctx.xc = xnf[v], xpf[v], xcf[v]
-        eval_node(pre, ctx, regs[v])
-
-    ic_counter = [0] * (n + 1)
+    occurrences = [[] for _ in range(n + 1)]
     for clause in binary_first_order(cnf.clauses):
-        width_f = float(len(clause))
-        for i, lit_x in enumerate(clause):
-            x = abs(lit_x)
-            ctx.xn, ctx.xp, ctx.xc = xnf[x], xpf[x], xcf[x]
-            ctx.cs = width_f
-            ctx.xs = 1.0 if lit_x > 0 else 0.0
-            ctx.ic = float(ic_counter[x])
-            bank = regs[x]
-            il = 0
-            for j, lit_l in enumerate(clause):
-                if j == i:
-                    continue
-                lv = abs(lit_l)
-                ctx.ln, ctx.lp, ctx.lc = xnf[lv], xpf[lv], xcf[lv]
-                ctx.ls = 1.0 if lit_l > 0 else 0.0
-                ctx.il = float(il)
-                eval_node(in_tree, ctx, bank)
-                in_runs += 1
-                il += 1
-            ic_counter[x] += 1
+        for i, lit in enumerate(clause):
+            occurrences[abs(lit)].append((clause, i))
 
+    in_runs = 0
     out = [0.0] * n
-    for v in range(1, n + 1):
-        ctx.xn, ctx.xp, ctx.xc = xnf[v], xpf[v], xcf[v]
-        eval_node(post, ctx, regs[v])
-        out[v - 1] = _clamp(regs[v].a0)
+    for x in range(1, n + 1):
+        s[:6] = 0.0, 0.0, 0.0, xnf[x], xpf[x], xcf[x]  # a0 v1 v2 xn xp xc
+        pre()
+        for ic, (clause, i) in enumerate(occurrences[x]):
+            s[8], s[9], s[10] = (  # cs xs ic
+                float(len(clause)), 1.0 if clause[i] > 0 else 0.0, float(ic))
+            for il, lit in enumerate(clause[:i] + clause[i + 1:]):
+                lv = abs(lit)
+                s[11], s[12], s[13], s[14], s[15] = (  # ln lp lc ls il
+                    xnf[lv], xpf[lv], xcf[lv], 1.0 if lit > 0 else 0.0, float(il))
+                in_tree()
+            in_runs += len(clause) - 1
+        post()
+        out[x - 1] = _clamp(s[0])
 
     if counters is not None:
-        counters["node_evals"] = ctx.node_evals
+        counters["node_evals"] = n * (n_pre + n_post) + in_runs * n_in + taken[0]
         counters["in_executions"] = in_runs
     return out
 
@@ -507,10 +549,18 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+# Deepest program text accepted, in nested operands and in tree depth; GP
+# trees stay far below it (CROSSOVER_MAX_DEPTH is 17).  Deeper text could
+# exhaust Python's recursion limit in the parser, printer or evaluators.
+MAX_NESTING = 100
+_TOO_DEEP = f"program nested deeper than {MAX_NESTING} levels"
+
+
 class _ExprParser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -547,10 +597,17 @@ class _ExprParser:
         return node
 
     def parse_unary(self) -> Node:
+        """An operand; each one nested inside another counts one level."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ProgramSyntaxError(_TOO_DEEP)
         if self.peek() == "-":
             self.take()
-            return Node("neg", (self.parse_unary(),))
-        return self.parse_primary()
+            node = Node("neg", (self.parse_unary(),))
+        else:
+            node = self.parse_primary()
+        self.depth -= 1
+        return node
 
     def parse_primary(self) -> Node:
         tok = self.take()
@@ -621,6 +678,8 @@ def parse_program(text: str) -> InitProgram:
             raise ProgramSyntaxError(
                 f"trailing tokens in {fragment.upper()}: {parser.peek()!r}"
             )
+        if tree_depth(tree) > MAX_NESTING:  # long infix chains or sequences
+            raise ProgramSyntaxError(_TOO_DEEP)
         validate_tree(tree, fragment)
         trees[fragment] = tree
     return InitProgram(pre=trees["pre"], in_loop=trees["in"], post=trees["post"])

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import make_random_cnf
+from conftest import make_random_cnf, run_tree
 from oracles import model_satisfies, truth_table_satisfiable
 from satgp.cnf import Cnf, preprocess_bcp, random_3sat, reorder
 from satgp.gp import (
@@ -26,12 +26,9 @@ from satgp.gp import (
 from satgp.harness import bundled_cnf, replay_sample, run_histogram
 from satgp.lang import (
     CLAMP_LIMIT,
-    EvalContext,
     FUNCTIONS,
-    Registers,
     TERMINALS_BY_FRAGMENT,
     compute_activities,
-    eval_node,
     iter_nodes,
     normalize,
     parse_program,
@@ -171,22 +168,14 @@ def test_criterion_05_clamping_and_protected_ops():
             for value in compute_activities(prog, cnf):
                 assert -CLAMP_LIMIT <= value <= CLAMP_LIMIT
 
-        div_prog = parse_program("IN: div(v1)").in_loop
-        inv_prog = parse_program("IN: inv(v1)").in_loop
+        # run_tree checks eval_node against compute_activities.
         for denom in (0.0, 1e-10, -1e-10):
             for numerator, expected in ((3.0, CLAMP_LIMIT), (-3.0, -CLAMP_LIMIT),
                                         (0.0, CLAMP_LIMIT)):
-                regs = Registers()
-                regs.a0, regs.v1 = numerator, denom
-                assert eval_node(div_prog, EvalContext(), regs) == expected
-            regs = Registers()
-            regs.v1 = denom
-            assert eval_node(inv_prog, EvalContext(), regs) == CLAMP_LIMIT
-
-        zero_log = parse_program("IN: log(0)").in_loop
-        assert eval_node(zero_log, EvalContext(), Registers()) == -CLAMP_LIMIT
-        neg_sqrt = parse_program("IN: sqrt(neg(1))").in_loop
-        assert eval_node(neg_sqrt, EvalContext(), Registers()) == -1.0
+                assert run_tree("div(v1)", a0=numerator, v1=denom)[0] == expected
+            assert run_tree("inv(v1)", v1=denom)[0] == CLAMP_LIMIT
+        assert run_tree("log(0)")[0] == -CLAMP_LIMIT
+        assert run_tree("sqrt(neg(1))")[0] == -1.0
 
 
 def test_criterion_06_normalization_and_scaling_invariance():

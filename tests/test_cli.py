@@ -16,6 +16,7 @@ from satgp.cnf import (
     write_dimacs,
 )
 from satgp.harness import BUNDLED_3SAT, config_hash
+from satgp.lang import MAX_NESTING
 from satgp.solver import SolverConfig
 
 
@@ -381,6 +382,15 @@ class TestValidateCommand:
         assert main(["validate", "preset:nope", bundled_file,
                      "--out", str(workdir / "v")]) == EXIT_ERROR
         assert "unknown preset" in capsys.readouterr().err
+
+    def test_too_deeply_nested_program(self, bundled_file, workdir, capsys):
+        prog = workdir / "deep.txt"
+        prog.write_text("IN: " + "neg(" * 165 + "lc" + ")" * 165 + "\n")
+        assert main(["validate", str(prog), bundled_file,
+                     "--out", str(workdir / "v")]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"error: program nested deeper than {MAX_NESTING} levels"]
 
 
 class TestManifests:

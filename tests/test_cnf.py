@@ -66,6 +66,38 @@ class TestParse:
         with pytest.raises(DimacsError, match="non-integer"):
             parse_dimacs("p cnf 1 1\nx 0\n")
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        clauses=st.lists(
+            st.lists(st.integers(1, 6).flatmap(lambda v: st.sampled_from((v, -v))),
+                     max_size=4),
+            max_size=8,
+        ),
+        data=st.data(),
+    )
+    def test_layout_variants_parse_like_clean_text(self, clauses, data):
+        clean = "p cnf 6 %d\n" % len(clauses) + "".join(
+            " ".join(map(str, c + [0])) + "\n" for c in clauses)
+        draw = data.draw
+        newline = draw(st.sampled_from(("\n", "\r\n")))
+        gaps = st.sampled_from((" ", "\t", "  ", " \t"))
+        tokens = [tok for c in clauses for tok in map(str, c + [0])]
+        lines = [f"p cnf 6 {draw(st.integers(0, 12))}"]  # count may mismatch
+        line = []
+        for tok in tokens:
+            line.append(tok)
+            # Break anywhere: inside a clause, after it, or not at all.
+            if draw(st.booleans()):
+                lines.append(draw(gaps).join(line))
+                line = []
+            if draw(st.integers(0, 9)) == 0:
+                lines.append(draw(st.sampled_from(("c comment", "c", "", "  c 1 2 0"))))
+        lines.append(draw(gaps).join(line))
+        if draw(st.booleans()):
+            lines += ["%", "0", "garbage after the end"]
+        text = newline.join(lines) + draw(st.sampled_from(("", newline)))
+        assert parse_dimacs(text) == parse_dimacs(clean)
+
     def test_unterminated_clause(self):
         with pytest.raises(DimacsError, match="unterminated"):
             parse_dimacs("p cnf 2 1\n1 2\n")

@@ -1,26 +1,27 @@
 import hashlib
+import re
 import struct
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import make_random_cnf
+from conftest import make_random_cnf, run_tree
 from satgp import lang
-from satgp.cnf import Cnf, preprocess_bcp, random_3sat
-from satgp.gp import random_individual
+from satgp.cnf import Cnf, compute_var_stats, preprocess_bcp, random_3sat
+from satgp.gp import crossover, random_individual, random_tree
 from satgp.harness import bundled_cnf
 from satgp.lang import (
     CLAMP_LIMIT,
     EvalContext,
+    FRAGMENT_NAMES,
     FUNCTIONS,
     InitProgram,
+    MAX_NESTING,
     Node,
     PRESETS,
     ProgramSyntaxError,
-    Registers,
     TERMINALS_BY_FRAGMENT,
     compute_activities,
-    eval_node,
     node_count,
     normalize,
     parse_program,
@@ -30,17 +31,6 @@ from satgp.lang import (
     tree_depth,
 )
 from satgp.rng import SplitMix64
-
-
-def run_tree(text_fragment: str, a0=0.0, v1=0.0, v2=0.0, **ctx_values):
-    """Evaluate one expression with explicit register/context values."""
-    prog = parse_program(f"IN: {text_fragment}")
-    ctx = EvalContext()
-    for key, val in ctx_values.items():
-        setattr(ctx, key, float(val))
-    regs = Registers()
-    regs.a0, regs.v1, regs.v2 = a0, v1, v2
-    return eval_node(prog.in_loop, ctx, regs), regs
 
 
 class TestEvalSemantics:
@@ -53,22 +43,13 @@ class TestEvalSemantics:
         assert value == CLAMP_LIMIT
 
     def test_div_near_zero_denominators(self):
-        prog = parse_program("IN: div(v1)")
         for denom in (0.0, 1e-10, -1e-10):
-            ctx = EvalContext()
-            regs = Registers()
-            regs.a0, regs.v1 = 3.0, denom
-            assert eval_node(prog.in_loop, ctx, regs) == CLAMP_LIMIT
-            regs.a0, regs.v1 = -3.0, denom
-            assert eval_node(prog.in_loop, ctx, regs) == -CLAMP_LIMIT
+            assert run_tree("div(v1)", a0=3.0, v1=denom)[0] == CLAMP_LIMIT
+            assert run_tree("div(v1)", a0=-3.0, v1=denom)[0] == -CLAMP_LIMIT
 
     def test_inv_near_zero(self):
-        prog = parse_program("IN: inv(v1)")
         for denom in (0.0, 1e-10, -1e-10):
-            ctx = EvalContext()
-            regs = Registers()
-            regs.v1 = denom
-            assert eval_node(prog.in_loop, ctx, regs) == CLAMP_LIMIT
+            assert run_tree("inv(v1)", v1=denom)[0] == CLAMP_LIMIT
 
     def test_pdiv_infix_is_pure(self):
         value, regs = run_tree("4%0", a0=7.0)
@@ -127,6 +108,10 @@ class TestEvalSemantics:
         # add(set(3)) sets a0 to 3, then adds 3 to the already-updated a0.
         value, regs = run_tree("add(set(3))")
         assert value == 6.0 and regs.a0 == 6.0
+
+
+def _bytes(acts: list[float]) -> bytes:
+    return struct.pack(f"<{len(acts)}d", *acts)
 
 
 def _random_program(rng: SplitMix64) -> InitProgram:
@@ -325,6 +310,109 @@ class TestPinnedRuns:
         assert TERMINALS_BY_FRAGMENT["pre"] == TERMINALS_BY_FRAGMENT["in"][:13]
 
 
+def _if_heavy_tree(rng: SplitMix64, fragment: str, depth: int) -> Node:
+    """Nested `if`s whose conditions, and the branches at the bottom, are
+    small random trees, so that both branches of most `if`s get taken."""
+    if depth <= 1:
+        return random_tree(rng, fragment, 1 + rng.randrange(3), "grow")
+    cond = random_tree(rng, fragment, 1 + rng.randrange(3), "grow")
+    return Node("if", (cond, _if_heavy_tree(rng, fragment, depth - 1),
+                       _if_heavy_tree(rng, fragment, depth - 1 - rng.randrange(2))))
+
+
+def _closure_test_programs(rng: SplitMix64) -> list[InitProgram]:
+    """`full` trees of depth 4-6, if-heavy trees, and three crossover
+    descendants of them whose IN trees are 13 to CROSSOVER_MAX_DEPTH deep."""
+    def program(make):
+        return InitProgram(*(make(f) for f in FRAGMENT_NAMES))
+
+    programs = [program(lambda f, d=d: random_tree(rng, f, d, "full")) for d in (4, 5, 6)]
+    programs += [program(lambda f: _if_heavy_tree(rng, f, 4)) for _ in range(6)]
+    children, parent = [], programs[-1]
+    while len(children) < 3:
+        child = crossover(parent, programs[rng.randrange(len(programs))], rng)
+        if child is not None and tree_depth(child.in_loop) > tree_depth(parent.in_loop):
+            parent = child
+            if tree_depth(child.in_loop) > 12:
+                children.append(child)
+                parent = programs[-1 - len(children)]
+    return programs + children
+
+
+def _check_against_template(prog, cnf, stats, monkeypatch):
+    """compute_activities must equal reference_compute_activities, which
+    walks the per-variable template with eval_node, bit for bit, and its
+    counters must equal the reference's: the node_evals of its contexts
+    summed, and its IN runs (one _check_in_bounds call each)."""
+    contexts, in_runs = [], []
+
+    class CountedContext(EvalContext):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            contexts.append(self)
+
+    counters = {}
+    acts = compute_activities(prog, cnf, stats, counters=counters)
+    monkeypatch.setattr(lang, "EvalContext", CountedContext)
+    monkeypatch.setattr(lang, "_check_in_bounds", in_runs.append)
+    reference = reference_compute_activities(prog, cnf, stats)
+    monkeypatch.undo()
+    assert counters == {"node_evals": sum(c.node_evals for c in contexts),
+                        "in_executions": len(in_runs)}
+    assert _bytes(acts) == _bytes(reference)
+
+
+class TestClosureEvaluation:
+    """compute_activities runs closures built per call; eval_node is the
+    oracle for their values, their order of effects and their count."""
+
+    def test_counters_and_bytes_match_template(self, monkeypatch):
+        rng = SplitMix64(126)
+        programs = _closure_test_programs(rng)
+        cnfs = [Cnf(3, ((1,), (), (-2, 3)))]
+        for _ in range(4):
+            cnf = make_random_cnf(rng, 3 + rng.randrange(6), 1 + rng.randrange(10),
+                                  min_width=1, max_width=5)
+            # Three more variables that occur in no clause.
+            cnfs.append(Cnf(cnf.num_vars + 3, cnf.clauses))
+        for cnf in cnfs:
+            stats = compute_var_stats(cnf)
+            for prog in programs:
+                _check_against_template(prog, cnf, stats, monkeypatch)
+
+    def test_bundled_instance(self, monkeypatch):
+        cnf = preprocess_bcp(bundled_cnf())[0]
+        stats = compute_var_stats(cnf)
+        programs = _closure_test_programs(SplitMix64(127))
+        # Three if-heavy programs and the last crossover descendant; the
+        # reference is slow on an instance of this size.
+        for prog in programs[3:6] + programs[-1:]:
+            _check_against_template(prog, cnf, stats, monkeypatch)
+
+    @pytest.mark.parametrize("expr,value,a0", [
+        ("plus(a0, set(3))", 4.0, 3.0),  # a0 is read before set runs
+        ("minus(v1, setv1(4))", -2.0, 1.0),
+        ("progn3(a0, set(2), a0)", 2.0, 2.0),
+        ("lessthan(add(1), add(1))", 1.0, 3.0),  # 2 < 3: left child first
+        ("min(set(3), add(2))", 3.0, 5.0),
+        ("mul(set(2))", 4.0, 4.0),  # the child runs before a0 is read
+    ])
+    def test_children_run_left_to_right(self, expr, value, a0):
+        got, regs = run_tree(expr, a0=1.0, v1=2.0)
+        assert (got, regs.a0) == (value, a0)
+
+    def test_if_counts_condition_and_taken_branch_only(self):
+        cnf = Cnf(2, ((1, 2),))
+        # 2 IN runs: `if` + cond (2 nodes) + taken branch set(lc)
+        # (2 nodes) or sub(progn2(1, 2)) (4 nodes).
+        for cond, per_run in (("1", 4), ("0", 6)):
+            prog = parse_program(f"IN: if({cond}, set(lc), sub(progn2(1, 2)))")
+            counters = {}
+            compute_activities(prog, cnf, counters=counters)
+            assert counters == {"node_evals": 2 * 2 + 2 * per_run, "in_executions": 2}
+
 class TestNormalize:
     def test_examples(self):
         assert normalize([2.0, -4.0, 1.0]) == [0.5, -1.0, 0.25]
@@ -488,6 +576,26 @@ class TestTextFormat:
             "minus", (Node("minus", (Node("4"), Node("3"))), Node("1"))
         )
 
+    # IN text nested `depth` levels deep, in each way that nests.
+    NESTINGS = {
+        "calls": lambda depth: "add(" * (depth - 1) + "lc" + ")" * (depth - 1),
+        "parentheses": lambda depth: "(" * (depth - 1) + "lc" + ")" * (depth - 1),
+        "unary minus": lambda depth: "-" * (depth - 1) + "lc",
+        "infix chain": lambda depth: "-".join(["lc"] * depth),
+        "sequence": lambda depth: ", ".join(["lc"] * (2 * depth - 2)),
+    }
+
+    @pytest.mark.parametrize("shape", NESTINGS)
+    def test_nesting_limit(self, shape):
+        text = "IN: " + self.NESTINGS[shape](MAX_NESTING)
+        prog = parse_program(text)
+        assert parse_program(print_program(prog)) == prog
+        cnf = random_3sat(6, 12, seed=14)
+        assert _bytes(compute_activities(prog, cnf)) == _bytes(
+            reference_compute_activities(prog, cnf))
+        with pytest.raises(ProgramSyntaxError, match="nested deeper than"):
+            parse_program("IN: " + self.NESTINGS[shape](MAX_NESTING + 1))
+
     def test_right_nested_subtraction_roundtrips(self):
         tree = Node("minus", (Node("4"), Node("minus", (Node("3"), Node("1")))))
         prog = InitProgram(in_loop=tree)
@@ -499,6 +607,45 @@ class TestTextFormat:
         rng = SplitMix64(seed)
         prog = _random_program(rng)
         assert parse_program(print_program(prog)) == prog
+
+
+# Label and token spellings of the text format, a few unknown or illegal
+# ones among them, for fuzzing the parser.
+_FUZZ_TOKENS = sorted({*FUNCTIONS, *TERMINALS_BY_FRAGMENT["in"], "5", "12", "foo",
+                       "(", ")", ",", "+", "-", "*", "%", "{}", "/", "$"})
+_FUZZ_LABELS = ("PRE:", "IN:", "POST:", "in =", "Post_Loop_Code=", "IN_LOOP_CODE:")
+_FUZZ_REGEX = "(?:({}) ?(?:({}) ?){{0,14}}){{1,3}}".format(
+    "|".join(re.escape(label) for label in _FUZZ_LABELS),
+    "|".join(re.escape(token) for token in _FUZZ_TOKENS),
+)
+
+
+def _check_reparse(text: str) -> None:
+    """Text that parses must print to text that parses to the same program;
+    any other text must be refused with ProgramSyntaxError."""
+    try:
+        prog = parse_program(text)
+    except ProgramSyntaxError:
+        return
+    assert parse_program(print_program(prog)) == prog
+
+
+class TestTextFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(st.from_regex(_FUZZ_REGEX, fullmatch=True))
+    @example("IN: lc-(lc-lc) / PRE: xn % 3 * 4")
+    @example("in = add (lc) , sub(xp) ,, 1")
+    @example("POST: - - 4 / IN: {} / PRE: ()")
+    def test_token_text_reparses(self, text):
+        _check_reparse(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="PREINOSTpreinost_:=/ \n(){},+-*%012345aclnsvx", max_size=50))
+    @example("IN: 1 POST: 2 PRE: 3")
+    @example("IN:IN")
+    @example("PRE = 0 / in: (((1)))")
+    def test_any_text_reparses(self, text):
+        _check_reparse(text)
 
 
 class TestPresets:
