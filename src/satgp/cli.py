@@ -103,12 +103,15 @@ def _out_dir(args) -> str:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
+    """The solver flags as a SolverConfig; ValueError if one is out of range."""
+    config = SolverConfig(
         var_decay=args.var_decay,
         random_decision_freq=args.random_freq,
         restart_first=args.restart_first,
         rng_seed=args.solver_seed,
     )
+    config.validate()
+    return config
 
 
 def _jobs(text: str) -> int:
@@ -123,14 +126,14 @@ def _jobs(text: str) -> int:
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--var-decay", type=float, default=0.95, dest="var_decay")
-    parser.add_argument("--random-freq", type=float, default=0.02, dest="random_freq")
-    parser.add_argument("--restart-first", type=int, default=100, dest="restart_first")
+    default = SolverConfig()
+    parser.add_argument("--var-decay", type=float, default=default.var_decay)
+    parser.add_argument("--random-freq", type=float, default=default.random_decision_freq)
+    parser.add_argument("--restart-first", type=int, default=default.restart_first)
     parser.add_argument(
         "--solver-seed",
         type=int,
-        default=0,
-        dest="solver_seed",
+        default=default.rng_seed,
         help="seed for the solver's decision RNG",
     )
 

@@ -33,7 +33,7 @@ from functools import partial
 from .cnf import Cnf, compute_var_stats, preprocess_bcp, random_3sat, reorder
 from .lang import InitProgram, compute_activities, print_program
 from .rng import SplitMix64, spawn_seeds
-from .solver import SolveOutcome, SolverConfig, solve, solve_with_baseline
+from .solver import SCHEDULE, SolveOutcome, SolverConfig, solve, solve_with_baseline
 
 # Generator coordinates of the bundled desk-scale instance used by the
 # test suite and the documentation examples (unsatisfiable, baseline of
@@ -47,8 +47,9 @@ def bundled_cnf() -> Cnf:
 
 
 def config_hash(config: SolverConfig) -> str:
-    """Stable 16-hex-digit digest of a solver configuration."""
-    blob = json.dumps(asdict(config), sort_keys=True).encode()
+    """Stable 16-hex-digit digest of a solver configuration together with
+    the fixed search schedule (solver.SCHEDULE)."""
+    blob = json.dumps({**asdict(config), **SCHEDULE}, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -224,32 +225,23 @@ def compare_reordered(
     config: SolverConfig,
     master_seed: int,
     problem: str = "",
-    lo: float = 0.0,
-    hi: float = 1.0,
-    jobs: int = 1,
 ) -> ReorderComparison:
-    """Histogram the original and a reordered twin of the same raw CNF.
+    """Histogram the original and a reordered twin of the same raw CNF,
+    with uniform activities in [0, 1).
 
-    Takes the unpreprocessed formula; both variants are preprocessed here
-    so the comparison mirrors the solve pipeline.
+    Takes the unpreprocessed formula; both variants are preprocessed here,
+    before any search, so the comparison mirrors the solve pipeline.
     """
-    reordered_cnf, _ = reorder(cnf, reorder_seed)
-    pre_orig, verdict_o, _ = preprocess_bcp(cnf)
-    pre_reord, verdict_r, _ = preprocess_bcp(reordered_cnf)
-    if verdict_o != "reduced" or verdict_r != "reduced":
-        raise ValueError("problem is decided by preprocessing; nothing to compare")
-    original = run_histogram(
-        pre_orig, samples, lo, hi, config, master_seed, problem=problem, jobs=jobs
-    )
-    reordered = run_histogram(
-        pre_reord,
-        samples,
-        lo,
-        hi,
-        config,
-        master_seed,
-        problem=f"{problem}.reordered" if problem else "reordered",
-        jobs=jobs,
+    twins = []
+    for twin in (cnf, reorder(cnf, reorder_seed)[0]):
+        reduced, verdict, _ = preprocess_bcp(twin)
+        if verdict != "reduced":
+            raise ValueError("problem is decided by preprocessing; nothing to compare")
+        twins.append(reduced)
+    names = (problem, f"{problem}.reordered" if problem else "reordered")
+    original, reordered = (
+        run_histogram(twin, samples, 0.0, 1.0, config, master_seed, problem=name)
+        for twin, name in zip(twins, names)
     )
     ratio = reordered.baseline.conflicts / original.baseline.conflicts
     return ReorderComparison(original=original, reordered=reordered, kappa_ratio=ratio)

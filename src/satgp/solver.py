@@ -24,6 +24,11 @@ driven by clause activities.  There is no timeout; the solver always runs
 to completion and the returned model is verified against the input
 clauses before it is returned.
 
+The restart, decay and learned-clause schedule is fixed, as in MiniSat,
+in the table SCHEDULE; SolverConfig holds the four settings that vary
+(var_decay, random_decision_freq, restart_first, rng_seed), and
+harness.config_hash covers both.
+
 Data structures follow MiniSat (Een & Sorensson, SAT 2003) in plain
 Python lists.  The truth values and the watch lists are indexed by signed
 literal: with 2n+1 entries, Python's negative indexing puts literal -v at
@@ -46,6 +51,17 @@ from .rng import SplitMix64
 VAR_RESCALE_FACTOR = 1e-100
 CLAUSE_RESCALE_LIMIT = 1e20
 
+# MiniSat's fixed search schedule, read by _Search as it runs: the restart
+# factor, the learned-clause capacity (a fraction of the clause count, grown
+# per restart), the clause activity decay and the variable rescale limit.
+SCHEDULE = {
+    "rescale_threshold": 1e100,
+    "restart_factor": 1.5,
+    "learnt_db_initial_fraction": 1.0 / 3.0,
+    "learnt_db_growth": 1.1,
+    "clause_decay": 0.999,
+}
+
 
 @dataclass
 class SolverConfig:
@@ -53,12 +69,7 @@ class SolverConfig:
 
     var_decay: float = 0.95
     random_decision_freq: float = 0.02
-    rescale_threshold: float = 1e100
     restart_first: int = 100
-    restart_factor: float = 1.5
-    learnt_db_initial_fraction: float = 1.0 / 3.0
-    learnt_db_growth: float = 1.1
-    clause_decay: float = 0.999
     rng_seed: int = 0
 
     def validate(self) -> None:
@@ -68,18 +79,6 @@ class SolverConfig:
             raise ValueError("random_decision_freq must be in [0, 1)")
         if self.restart_first < 1:
             raise ValueError("restart_first must be >= 1")
-        if not self.restart_factor >= 1.0:
-            raise ValueError("restart_factor must be >= 1")
-        if not self.learnt_db_growth >= 1.0:
-            raise ValueError("learnt_db_growth must be >= 1")
-        if not self.learnt_db_initial_fraction > 0.0:
-            raise ValueError("learnt_db_initial_fraction must be > 0")
-        if not 0.0 < self.clause_decay <= 1.0:
-            raise ValueError("clause_decay must be in (0, 1]")
-        # Normalized activities start in [-1, 1] and var_inc at 1, so a
-        # threshold <= 1 rescales on every bump; inf or NaN never does.
-        if not (math.isfinite(self.rescale_threshold) and self.rescale_threshold > 1.0):
-            raise ValueError("rescale_threshold must be finite and > 1")
 
 
 @dataclass
@@ -228,7 +227,7 @@ class _Search:
 
     def bump_var(self, v: int) -> None:
         self.activity[v] += self.var_inc
-        if self.activity[v] > self.config.rescale_threshold:
+        if self.activity[v] > SCHEDULE["rescale_threshold"]:
             for u in range(1, self.n + 1):
                 self.activity[u] *= VAR_RESCALE_FACTOR
             self.var_inc *= VAR_RESCALE_FACTOR
@@ -353,7 +352,7 @@ class _Search:
             else:
                 self.attach(_Clause(list(clause_lits)))
 
-        max_learnts = len(self.cnf.clauses) * self.config.learnt_db_initial_fraction
+        max_learnts = len(self.cnf.clauses) * SCHEDULE["learnt_db_initial_fraction"]
         restart_budget = float(self.config.restart_first)
         conflicts_since_restart = 0
 
@@ -377,13 +376,13 @@ class _Search:
                 for lit in learnt:
                     self.bump_var(abs(lit))
                 self.var_inc /= self.config.var_decay
-                self.cla_inc /= self.config.clause_decay
+                self.cla_inc /= SCHEDULE["clause_decay"]
             else:
                 if conflicts_since_restart >= restart_budget:
                     # Restart: back to level 0, keep clauses and activities.
                     conflicts_since_restart = 0
-                    restart_budget *= self.config.restart_factor
-                    max_learnts *= self.config.learnt_db_growth
+                    restart_budget *= SCHEDULE["restart_factor"]
+                    max_learnts *= SCHEDULE["learnt_db_growth"]
                     self.cancel_until(0)
                     continue
                 if len(self.learnts) - len(self.trail) >= max_learnts:

@@ -8,7 +8,7 @@ import pytest
 
 from oracles import model_satisfies
 from satgp import harness
-from satgp.cli import EXIT_ERROR, EXIT_SAT, EXIT_UNSAT, main
+from satgp.cli import EXIT_ERROR, EXIT_SAT, EXIT_UNSAT, _solver_config, build_parser, main
 from satgp.cnf import (
     random_3sat,
     read_dimacs,
@@ -154,6 +154,18 @@ class TestHistogram:
         assert sum(counts) == 12
         manifest = json.loads((workdir / "h1" / "manifest.json").read_text())
         assert manifest["master_seed"] == 5
+
+    @pytest.mark.parametrize("text,verdict", [
+        ("p cnf 2 2\n1 0\n-1 2 0\n", "satisfied"),
+        ("p cnf 1 2\n1 0\n-1 0\n", "unsatisfiable"),
+    ])
+    def test_decided_by_preprocessing_refused(self, workdir, capsys, text, verdict):
+        path = workdir / "units.cnf"
+        path.write_text(text)
+        code = main(["histogram", str(path), "--samples", "3", "--out", str(workdir / "h")])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: problem is {verdict} after preprocessing\n"
+        assert not (workdir / "h").exists()
 
     def test_trivial_instance_fails_cleanly(self, workdir, capsys):
         path = workdir / "triv.cnf"
@@ -446,6 +458,39 @@ class TestManifests:
         assert manifest["inputs"] == {
             str(path): hashlib.sha256(path.read_bytes()).hexdigest()
         }
+
+
+class TestSolverFlags:
+    def test_defaults_are_solver_config_defaults(self):
+        for argv in (["solve", "f"], ["histogram", "f"], ["evolve", "f"],
+                     ["validate", "preset:zero", "f"]):
+            assert _solver_config(build_parser().parse_args(argv)) == SolverConfig()
+
+    # Refused before any file is read: `decided` is solved by preprocessing,
+    # where no search would ever check the config.
+    @pytest.mark.parametrize("argv", [
+        ["solve", "no_such_file.cnf"],
+        ["solve", "{f}"],
+        ["solve", "{f}", "--out", "{out}"],
+        ["histogram", "{f}", "--samples", "3", "--out", "{out}"],
+        ["evolve", "{f}", "--pop", "4", "--gens", "1", "--out", "{out}"],
+        ["validate", "preset:zero", "{f}", "--out", "{out}"],
+    ])
+    @pytest.mark.parametrize("flag,message", [
+        (["--var-decay", "1.5"], "var_decay must be in (0, 1)"),
+        (["--random-freq", "1.0"], "random_decision_freq must be in [0, 1)"),
+        (["--restart-first", "0"], "restart_first must be >= 1"),
+    ])
+    def test_bad_flag_refused_up_front(self, workdir, capsys, argv, flag, message):
+        decided = workdir / "decided.cnf"
+        decided.write_text("p cnf 2 2\n1 0\n-1 2 0\n")
+        out = workdir / "out"
+        argv = [arg.format(f=decided, out=out) for arg in argv]
+        assert main(argv + flag) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestGen:

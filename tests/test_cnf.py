@@ -58,6 +58,20 @@ class TestParse:
         with pytest.raises(DimacsError, match="header"):
             parse_dimacs("p dnf 2 1\n1 0\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("p cnf 1 1\np cnf 1 1\n1 0\n", "line 2: duplicate header"),
+        ("p cnf x 1\n1 0\n", "line 1: malformed header 'p cnf x 1'"),
+        ("p cnf 2 1.5\n1 0\n", "line 1: malformed header 'p cnf 2 1.5'"),
+        ("p cnf -1 1\n", "line 1: negative counts in header"),
+        ("p cnf 1 -1\n", "line 1: negative counts in header"),
+        ("c only a comment\n", "line 1: missing 'p cnf' header"),
+        ("", "line 1: missing 'p cnf' header"),
+    ])
+    def test_header_errors(self, text, message):
+        with pytest.raises(DimacsError) as exc:
+            parse_dimacs(text)
+        assert str(exc.value) == message
+
     def test_clause_before_header(self):
         with pytest.raises(DimacsError, match="before"):
             parse_dimacs("1 0\np cnf 1 1\n")

@@ -17,6 +17,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -24,7 +25,7 @@ from satgp.cnf import compute_var_stats, preprocess_bcp, random_3sat
 from satgp.gp import FitnessCaseSet, GpConfig, run_evolution
 from satgp.harness import bundled_cnf, random_init
 from satgp.lang import PRESETS, compute_activities, preset_program
-from satgp.solver import SolverConfig, solve
+from satgp.solver import SCHEDULE, SolverConfig, solve
 
 GOLDEN_FILE = Path(__file__).with_name("golden_traces.json")
 
@@ -80,15 +81,16 @@ def test_tiny_evolution():
 
 
 def corpus_cases():
-    """Yield (key, cnf, init, config) for every trace in golden_traces.json.
+    """Yield (key, cnf, init, config, schedule) for every trace in
+    golden_traces.json; schedule overrides entries of solver.SCHEDULE.
 
     Every preset and three uniform random inits in [-1, 1) on random 3-SAT
     at 50, 75 and 100 variables (ratio 4.26, seed 7), each at solver seeds
     0 and 1; the longer of these searches run reduce_db at the default
     fraction.  The zero init on random_3sat(100, 426, 1) then takes each config that
-    forces a branch: rescale_threshold=1e10 (one variable rescale),
-    clause_decay=0.5 (clause rescales), random_decision_freq=0.2 and
-    restart_first=10.
+    forces a branch: the schedule entries rescale_threshold=1e10 (one
+    variable rescale) and clause_decay=0.5 (clause rescales), and the
+    settings random_decision_freq=0.2 and restart_first=10.
     """
     for n in (50, 75, 100):
         cnf, verdict, _ = preprocess_bcp(random_3sat(n, round(4.26 * n), 7))
@@ -102,22 +104,21 @@ def corpus_cases():
             inits[f"random{seed}"] = random_init(cnf.num_vars, seed, -1.0, 1.0)
         for name, init in inits.items():
             for rng_seed in (0, 1):
-                yield f"3sat{n}/{name}/seed{rng_seed}", cnf, init, SolverConfig(rng_seed=rng_seed)
+                yield (f"3sat{n}/{name}/seed{rng_seed}", cnf, init,
+                       SolverConfig(rng_seed=rng_seed), {})
     cnf = preprocess_bcp(random_3sat(100, 426, 1))[0]
-    for field, value in [
-        ("rescale_threshold", 1e10),
-        ("clause_decay", 0.5),
-        ("random_decision_freq", 0.2),
-        ("restart_first", 10),
-    ]:
-        config = SolverConfig(**{field: value})
-        yield f"3sat100s1/zero/{field}={value}", cnf, [0.0] * cnf.num_vars, config
+    zero = [0.0] * cnf.num_vars
+    for field, value in [("rescale_threshold", 1e10), ("clause_decay", 0.5)]:
+        yield f"3sat100s1/zero/{field}={value}", cnf, zero, SolverConfig(), {field: value}
+    for field, value in [("random_decision_freq", 0.2), ("restart_first", 10)]:
+        yield f"3sat100s1/zero/{field}={value}", cnf, zero, SolverConfig(**{field: value}), {}
 
 
 def corpus_traces() -> dict[str, list]:
     traces = {}
-    for key, cnf, init, config in corpus_cases():
-        out = solve(cnf, init, config)
+    for key, cnf, init, config, schedule in corpus_cases():
+        with mock.patch.dict(SCHEDULE, schedule):
+            out = solve(cnf, init, config)
         traces[key] = [out.verdict, out.conflicts, out.decisions, out.propagations]
     return traces
 

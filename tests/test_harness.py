@@ -76,6 +76,14 @@ class TestHistogram:
         report = run_histogram(cnf, 5, 0.0, 1.0, CONFIG, master_seed=42)
         assert [r.seed for r in report.rows] == spawn_seeds(42, 5)
 
+    @pytest.mark.parametrize("samples,lo,hi,message", [
+        (0, 0.0, 1.0, "samples must be >= 1"),
+        (5, 1.0, 0.5, "need lo < hi"),
+    ])
+    def test_bad_arguments_refused(self, samples, lo, hi, message):
+        with pytest.raises(ValueError, match=message):
+            run_histogram(reduced_bundled(), samples, lo, hi, CONFIG, master_seed=1)
+
     def test_baseline_without_conflicts_raises(self):
         trivial = Cnf.from_lists(2, [[1, 2]])
         with pytest.raises(ValueError, match="baseline has no conflicts"):
@@ -216,3 +224,10 @@ class TestRandomInit:
     def test_config_hash_stability(self):
         assert config_hash(SolverConfig()) == config_hash(SolverConfig())
         assert config_hash(SolverConfig()) != config_hash(SolverConfig(rng_seed=1))
+
+    def test_config_hash_values_pinned(self):
+        # The hash covers the fixed schedule too; these values are in every
+        # artifact and checkpoint written so far, so they must not move.
+        assert config_hash(SolverConfig()) == "5a707cdfcdbbbaa3"
+        assert config_hash(SolverConfig(rng_seed=1)) == "740788ce425004a0"
+        assert config_hash(SolverConfig(var_decay=0.9)) == "db57cf23e8c7bfe3"

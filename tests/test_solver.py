@@ -1,9 +1,11 @@
 import dataclasses
+from unittest import mock
 
 import pytest
 
 from conftest import make_random_cnf
 from oracles import model_satisfies, truth_table_satisfiable
+from satgp import solver
 from satgp.cnf import Cnf, preprocess_bcp, random_3sat
 from satgp.lang import normalize
 from satgp.rng import SplitMix64
@@ -43,27 +45,6 @@ class TestBasics:
     def test_bad_config(self):
         with pytest.raises(ValueError, match="var_decay"):
             solve_with_baseline(Cnf.from_lists(1, [[1]]), SolverConfig(var_decay=1.5))
-
-    # Each value would hang in restarts, divide by zero mid-search, rescale
-    # activities on every bump (threshold <= 1) or never (inf, NaN);
-    # validate() rejects it before a search starts.
-    @pytest.mark.parametrize("field,value", [
-        ("restart_factor", 0.0),
-        ("restart_factor", 0.5),
-        ("learnt_db_growth", 0.9),
-        ("learnt_db_initial_fraction", 0.0),
-        ("learnt_db_initial_fraction", -0.1),
-        ("clause_decay", 0.0),
-        ("clause_decay", 1.5),
-        ("rescale_threshold", 0.0),
-        ("rescale_threshold", -1.0),
-        ("rescale_threshold", 1.0),
-        ("rescale_threshold", float("nan")),
-        ("rescale_threshold", float("inf")),
-    ])
-    def test_bad_search_schedule_rejected(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            SolverConfig(**{field: value}).validate()
 
     def test_baseline_is_zero_init(self):
         cnf = random_3sat(15, 60, seed=3)
@@ -192,8 +173,9 @@ class TestConfigKnobs:
 
     def test_aggressive_db_reduction_stays_sound(self):
         cnf = random_3sat(20, 86, seed=34)
-        config = SolverConfig(learnt_db_initial_fraction=0.01, learnt_db_growth=1.0)
-        out = solve_with_baseline(cnf, config)
+        schedule = {"learnt_db_initial_fraction": 0.01, "learnt_db_growth": 1.0}
+        with mock.patch.dict(solver.SCHEDULE, schedule):
+            out = solve_with_baseline(cnf)
         assert (out.verdict == "sat") == truth_table_satisfiable(cnf)
         if out.model:
             assert model_satisfies(cnf, out.model)
@@ -208,23 +190,49 @@ class TestConfigKnobs:
 class TestConfigMatrix:
     # Unusual parameter corners must stay sound and complete, including on
     # raw inputs that still contain unit clauses.
+    # (config, overrides of solver.SCHEDULE)
     CONFIGS = [
-        SolverConfig(restart_first=1, restart_factor=1.1, rng_seed=1),
-        SolverConfig(learnt_db_initial_fraction=0.02, clause_decay=0.9, rng_seed=2),
-        SolverConfig(var_decay=0.5, random_decision_freq=0.3, rng_seed=3),
+        (SolverConfig(restart_first=1, rng_seed=1), {"restart_factor": 1.1}),
+        (SolverConfig(rng_seed=2), {"learnt_db_initial_fraction": 0.02, "clause_decay": 0.9}),
+        (SolverConfig(var_decay=0.5, random_decision_freq=0.3, rng_seed=3), {}),
     ]
 
     @pytest.mark.parametrize("config_idx", range(len(CONFIGS)))
     def test_oracle_agreement_on_raw_inputs(self, config_idx):
-        config = self.CONFIGS[config_idx]
+        config, schedule = self.CONFIGS[config_idx]
         rng = SplitMix64(4000 + config_idx)
         for trial in range(40):
             cnf = make_random_cnf(rng, 3 + rng.randrange(9),
                                   1 + rng.randrange(26), min_width=1, max_width=4)
-            out = solve(cnf, [0.0] * cnf.num_vars, config)
+            with mock.patch.dict(solver.SCHEDULE, schedule):
+                out = solve(cnf, [0.0] * cnf.num_vars, config)
             assert (out.verdict == "sat") == truth_table_satisfiable(cnf)
             if out.verdict == "sat":
                 assert model_satisfies(cnf, out.model)
+
+
+class TestSchedule:
+    """Overrides of solver.SCHEDULE reach the search.  The golden entry
+    rescale_threshold=1e10 has the default trace, so the increments show
+    what its counts cannot."""
+
+    @staticmethod
+    def finished_search(**schedule):
+        cnf = preprocess_bcp(random_3sat(100, 426, 1))[0]
+        with mock.patch.dict(solver.SCHEDULE, schedule):
+            search = solver._Search(cnf, [0.0] * cnf.num_vars, SolverConfig())
+            assert search.run()[0] == "unsat"
+        return search
+
+    def test_rescale_threshold_rescales_var_inc(self):
+        assert self.finished_search().var_inc > 1.0
+        assert self.finished_search(rescale_threshold=1e10).var_inc < 1.0
+
+    def test_clause_decay_grows_cla_inc(self):
+        assert self.finished_search().cla_inc < 10.0
+        search = self.finished_search(clause_decay=0.5)
+        # Doubled on every conflict, and rescaled on the way.
+        assert 1e10 < search.cla_inc < 2.0 ** search.conflicts
 
 
 class TestHardUnsat:
