@@ -10,9 +10,10 @@ Subcommands:
     validate   measure a program against the zero baseline on many files
     gen        generate random 3-SAT instances
 
-Every run that writes artifacts also writes manifest.json next to them,
-recording the command, flags, seeds, config hash and input digests needed
-to replay it byte for byte (wall-time columns excepted).
+Every run that writes artifacts, gen included, also writes manifest.json
+next to them, recording the command, flags, seeds, config hash and the
+digest of every file it read, as needed to replay it byte for byte
+(wall-time columns excepted).
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import astuple
+from pathlib import Path
 
 from . import __version__
 from .cnf import (
@@ -46,8 +49,9 @@ from .gp import (
     save_checkpoint,
 )
 from .harness import (
+    check_histogram_args,
     config_hash,
-    csv_header_comment,
+    csv_text,
     histogram_csv,
     run_histogram,
     run_validation,
@@ -71,35 +75,31 @@ EXIT_UNSAT = 20
 EXIT_ERROR = 1
 
 
-def _sha256_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
+def _emit(args, config: SolverConfig | None, master_seed: int, inputs, artifacts) -> str:
+    """Write a run's artifacts (name -> text) and its manifest.json into
+    --out (default "."), creating it, and return that directory.
 
-
-def _write_manifest(args, config: SolverConfig | None, master_seed: int, paths) -> None:
-    """Write manifest.json for this run into its output directory.
-
-    config is None for commands that never search (reorder); the manifest
-    then records an empty config hash.
+    inputs are the paths of every file the run read; the manifest records
+    each one's sha256, taken before any file is written, so an input that
+    an artifact replaces (evolve --resume DIR/checkpoint.txt --out DIR) is
+    recorded as it was read.  config is None for commands that never
+    search (reorder, gen); the manifest then records an empty config hash.
     """
     manifest = {
         "command": args.command,
-        "flags": _flags(args),
+        "flags": {k: v for k, v in vars(args).items() if k != "func"},
         "config_hash": "" if config is None else config_hash(config),
         "master_seed": master_seed,
         "version": __version__,
-        "inputs": {path: _sha256_file(path) for path in paths},  # path -> sha256
+        "inputs": {path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in inputs},
     }
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    _write(_out_dir(args), "manifest.json", text)
-
-
-def _out_dir(args) -> str:
-    out = args.out or os.environ.get("SATGP_OUT") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+    out_dir = args.out or "."
+    os.makedirs(out_dir, exist_ok=True)
+    files = {**artifacts, "manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n"}
+    for name, text in files.items():
+        with open(os.path.join(out_dir, name), "w", newline="") as fh:
+            fh.write(text)
+    return out_dir
 
 
 def _solver_config(args) -> SolverConfig:
@@ -191,7 +191,9 @@ def cmd_solve(args) -> int:
             _print_model(model)
 
     if args.out:
-        _write_manifest(args, config, args.solver_seed, [args.file])
+        init_file_read = verdict == "reduced" and args.init.startswith("file:")
+        init_file = [args.init.removeprefix("file:")] if init_file_read else []
+        _emit(args, config, args.solver_seed, [args.file, *init_file], {})
     return EXIT_SAT if sat else EXIT_UNSAT
 
 
@@ -225,12 +227,12 @@ def _print_model(model: dict[int, bool]) -> None:
 
 def cmd_histogram(args) -> int:
     config = _solver_config(args)
+    lo, hi = _parse_range(args.range)
+    check_histogram_args(args.samples, lo, hi)
     cnf = read_dimacs(args.file)
     reduced, verdict, _ = preprocess_bcp(cnf)
     if verdict != "reduced":
-        print(f"error: problem is {verdict} after preprocessing", file=sys.stderr)
-        return EXIT_ERROR
-    lo, hi = _parse_range(args.range)
+        raise ValueError(f"problem is {verdict} after preprocessing")
     report = run_histogram(
         reduced,
         args.samples,
@@ -241,10 +243,8 @@ def cmd_histogram(args) -> int:
         problem=os.path.basename(args.file),
         jobs=args.jobs,
     )
-    out_dir = _out_dir(args)
-    _write(out_dir, "histogram.csv", histogram_csv(report))
-    _write(out_dir, "samples.csv", samples_csv(report))
-    _write_manifest(args, config, args.seed, [args.file])
+    artifacts = {"histogram.csv": histogram_csv(report), "samples.csv": samples_csv(report)}
+    out_dir = _emit(args, config, args.seed, [args.file], artifacts)
     k0 = report.baseline.conflicts
     print(
         f"baseline conflicts k0={k0}; {report.samples} samples in"
@@ -271,11 +271,12 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 def cmd_evolve(args) -> int:
     solver_config = _solver_config(args)
-    named = [(os.path.basename(path), read_dimacs(path)) for path in args.files]
-    cases = FitnessCaseSet.from_cnfs(named, solver_config)
     gp_config = GpConfig(
         population_size=args.pop, generations=args.gens, rng_seed=args.seed
     )
+    gp_config.validate()
+    named = [(os.path.basename(path), read_dimacs(path)) for path in args.files]
+    cases = FitnessCaseSet.from_cnfs(named, solver_config)
     if args.resume:
         with open(args.resume) as fh:
             population, generation, rng = load_checkpoint(
@@ -301,23 +302,15 @@ def cmd_evolve(args) -> int:
         memo=memo,
     )
 
-    out_dir = _out_dir(args)
-    _write(out_dir, "best_program.txt", print_program(best.program) + "\n")
-    log_lines = [csv_header_comment(config_hash(solver_config), args.seed)]
-    log_lines.append("gen,best_fitness,mean_fitness,best_nodes,best_program")
-    for rec in log:
-        prog = rec.best_program.replace('"', '""')
-        log_lines.append(
-            f"{rec.generation},{rec.best_fitness!r},{rec.mean_fitness!r},"
-            f'{rec.best_nodes},"{prog}"'
-        )
-    _write(out_dir, "evolution_log.csv", "\n".join(log_lines) + "\n")
-    _write(
-        out_dir,
-        "checkpoint.txt",
-        save_checkpoint(population, log[-1].generation, rng, cases),
-    )
-    _write_manifest(args, solver_config, args.seed, args.files)
+    header = ["gen", "best_fitness", "mean_fitness", "best_nodes", "best_program"]
+    log_csv = csv_text(config_hash(solver_config), args.seed, header, map(astuple, log))
+    artifacts = {
+        "best_program.txt": print_program(best.program) + "\n",
+        "evolution_log.csv": log_csv,
+        "checkpoint.txt": save_checkpoint(population, log[-1].generation, rng, cases),
+    }
+    inputs = [*args.files, args.resume] if args.resume else args.files
+    out_dir = _emit(args, solver_config, args.seed, inputs, artifacts)
     print(
         f"{memo.evaluations} evaluations, {memo.interpreter_runs}"
         f" interpreter runs, {memo.searches} searches"
@@ -335,13 +328,14 @@ def cmd_evolve(args) -> int:
 def cmd_reorder(args) -> int:
     cnf = read_dimacs(args.file)
     reordered, mapping = reorder(cnf, args.seed)
-    out_dir = _out_dir(args)
     stem = os.path.splitext(os.path.basename(args.file))[0]
     cnf_name = f"{stem}.reordered.cnf"
     map_name = f"{stem}.map"
-    _write(out_dir, cnf_name, write_dimacs(reordered, comments=(f"reordered seed={args.seed}",)))
-    _write(out_dir, map_name, write_mapping(mapping))
-    _write_manifest(args, None, args.seed, [args.file])
+    artifacts = {
+        cnf_name: write_dimacs(reordered, comments=(f"reordered seed={args.seed}",)),
+        map_name: write_mapping(mapping),
+    }
+    out_dir = _emit(args, None, args.seed, [args.file], artifacts)
     print(f"wrote {cnf_name} and {map_name} in {out_dir}")
     return 0
 
@@ -355,9 +349,9 @@ def cmd_validate(args) -> int:
     program = _load_program(args.program)
     problems = [(os.path.basename(p), read_dimacs(p)) for p in args.files]
     report = run_validation(program, problems, config)
-    out_dir = _out_dir(args)
-    _write(out_dir, "validation.csv", validation_csv(report, args.solver_seed))
-    _write_manifest(args, config, args.solver_seed, args.files)
+    program_file = [] if args.program.startswith("preset:") else [args.program]
+    artifacts = {"validation.csv": validation_csv(report, args.solver_seed)}
+    out_dir = _emit(args, config, args.solver_seed, [*program_file, *args.files], artifacts)
     print(f"program: {report.program_text}")
     for row in report.rows:
         print(
@@ -376,27 +370,18 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    out_dir = _out_dir(args)
-    rngseeds = [args.seed + i for i in range(args.count)]
-    for i, seed in enumerate(rngseeds):
+    artifacts = {}
+    for seed in range(args.seed, args.seed + args.count):
         cnf = random_3sat(args.vars, args.clauses, seed)
         name = f"rand3sat_v{args.vars}_c{args.clauses}_s{seed}.cnf"
-        _write(out_dir, name, write_dimacs(cnf, comments=(f"random 3-SAT seed={seed}",)))
+        artifacts[name] = write_dimacs(cnf, comments=(f"random 3-SAT seed={seed}",))
+    out_dir = _emit(args, None, args.seed, [], artifacts)
+    for name in artifacts:
         print(os.path.join(out_dir, name))
     return 0
 
 
 # ---------------------------------------------------------------------------
-
-
-def _write(out_dir: str, name: str, content: str) -> None:
-    with open(os.path.join(out_dir, name), "w", newline="") as fh:
-        fh.write(content)
-
-
-def _flags(args) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -471,7 +456,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (DimacsError, ProgramSyntaxError, ValueError, OSError, KeyError) as exc:
-        message = exc.args[0] if exc.args else exc
+        if isinstance(exc, OSError) and exc.filename is not None:
+            message = f"{exc.filename}: {exc.strerror}"
+        else:
+            message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return EXIT_ERROR
 

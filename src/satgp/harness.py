@@ -27,7 +27,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import partial
 
 from .cnf import Cnf, compute_var_stats, preprocess_bcp, random_3sat, reorder
@@ -153,6 +153,17 @@ def _histogram_sample(shared, seed: int) -> tuple[int, int]:
     return outcome.conflicts, outcome.decisions
 
 
+def check_histogram_args(samples: int, lo: float, hi: float) -> None:
+    """ValueError unless samples >= 1 and [lo, hi) is a finite range with
+    lo < hi (or the degenerate all-zero range 0:0)."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if not lo < hi and not (lo == hi == 0.0):
+        raise ValueError(f"range {lo}:{hi}: need lo < hi (or the degenerate all-zero range 0:0)")
+    if not all(math.isfinite(x) for x in (lo, hi, hi - lo)):
+        raise ValueError(f"range {lo}:{hi}: lo, hi and hi - lo must be finite")
+
+
 def run_histogram(
     cnf: Cnf,
     samples: int,
@@ -167,17 +178,11 @@ def run_histogram(
 
     Sample i draws its activities from child seed i of master_seed (see
     rng.spawn_seeds), so any sample can be replayed later.  Raises
-    ValueError, before any search, for a range whose lo, hi or width is
-    not finite, and when the baseline solves without conflicts, because
+    ValueError, before any search, for arguments check_histogram_args
+    refuses, and when the baseline solves without conflicts, because
     percentages of zero are undefined.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if not lo < hi and not (lo == hi == 0.0):
-        raise ValueError("need lo < hi (or the degenerate all-zero range 0:0)")
-    if not all(math.isfinite(x) for x in (lo, hi, hi - lo)):
-        raise ValueError(f"range {lo}:{hi}: lo, hi and hi - lo must be finite")
-
+    check_histogram_args(samples, lo, hi)
     baseline = solve_with_baseline(cnf, config)
     if baseline.conflicts == 0:
         raise ValueError("baseline has no conflicts; histogram undefined")
@@ -332,58 +337,35 @@ def run_validation(
 # CSV artifacts
 
 
-def csv_header_comment(cfg_hash: str, master_seed: int) -> str:
-    return f"# config-hash={cfg_hash} master-seed={master_seed}"
+def csv_text(cfg_hash: str, master_seed: int, header, rows) -> str:
+    """A CSV artifact: the `# config-hash=<hex> master-seed=<int>` comment
+    line, the header row, then one line per row (LF line endings)."""
+    buf = io.StringIO()
+    buf.write(f"# config-hash={cfg_hash} master-seed={master_seed}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def histogram_csv(report: HistogramReport) -> str:
     """percent,count rows sorted by percent."""
-    buf = io.StringIO()
-    buf.write(csv_header_comment(report.config_hash, report.master_seed) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["percent", "count"])
-    for percent in sorted(report.bins):
-        writer.writerow([percent, report.bins[percent]])
-    return buf.getvalue()
+    return csv_text(
+        report.config_hash, report.master_seed, ["percent", "count"], sorted(report.bins.items())
+    )
 
 
 def samples_csv(report: HistogramReport) -> str:
-    buf = io.StringIO()
-    buf.write(csv_header_comment(report.config_hash, report.master_seed) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["sample_id", "seed", "conflicts", "decisions", "percent"])
-    for row in report.rows:
-        writer.writerow([row.sample_id, row.seed, row.conflicts, row.decisions, row.percent])
-    return buf.getvalue()
+    header = [f.name for f in fields(SampleRow)]
+    return csv_text(report.config_hash, report.master_seed, header, map(astuple, report.rows))
 
 
 def validation_csv(report: ValidationReport, master_seed: int) -> str:
-    buf = io.StringIO()
-    buf.write(csv_header_comment(report.config_hash, master_seed) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "problem",
-            "baseline_conflicts",
-            "program_conflicts",
-            "percent",
-            "baseline_decisions",
-            "program_decisions",
-            "baseline_time",
-            "program_time",
-        ]
-    )
-    for r in report.rows:
-        writer.writerow(
-            [
-                r.problem,
-                r.baseline_conflicts,
-                r.program_conflicts,
-                f"{r.percent:.3f}",
-                r.baseline_decisions,
-                r.program_decisions,
-                f"{r.baseline_time:.6f}",
-                f"{r.program_time:.6f}",
-            ]
-        )
-    return buf.getvalue()
+    header = [f.name for f in fields(ValidationRow)]
+    rows = [
+        (r.problem, r.baseline_conflicts, r.program_conflicts, f"{r.percent:.3f}",
+         r.baseline_decisions, r.program_decisions,
+         f"{r.baseline_time:.6f}", f"{r.program_time:.6f}")
+        for r in report.rows
+    ]
+    return csv_text(report.config_hash, master_seed, header, rows)

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from oracles import model_satisfies
-from satgp import harness
+from satgp import cli, harness
 from satgp.cli import EXIT_ERROR, EXIT_SAT, EXIT_UNSAT, _solver_config, build_parser, main
 from satgp.cnf import (
     random_3sat,
@@ -85,6 +86,9 @@ class TestSolve:
 
     def test_missing_file(self, capsys):
         assert main(["solve", "no_such_file.cnf"]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: no_such_file.cnf: No such file or directory\n"
+        assert main(["validate", "preset:add_lc", "no_such_file.cnf"]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: no_such_file.cnf: No such file or directory\n"
 
     def test_model_satisfies_original_even_with_preprocessing(self, workdir, capsys):
         path = workdir / "mix.cnf"
@@ -318,6 +322,32 @@ class TestEvolve:
         assert 8 <= evaluations and searches <= runs <= evaluations
         assert lines["2"].split(",")[:2] == lines["1"].split(",")[:2]
 
+    def test_log_rows_are_the_generation_records(
+        self, bundled_file, workdir, capsys, monkeypatch
+    ):
+        run_evolution = cli.run_evolution
+        runs = []
+
+        def recording_run_evolution(*args, **kwargs):
+            runs.append(run_evolution(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run_evolution", recording_run_evolution)
+        # At this seed generation 0's best program is `progn2(ls, nc)`,
+        # whose comma the CSV must quote.
+        assert main(["evolve", bundled_file, "--pop", "6", "--gens", "1", "--seed", "5",
+                     "--out", str(workdir / "e")]) == 0
+        _, log = runs[0]
+        with open(workdir / "e" / "evolution_log.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[2:]
+        assert [row[4] for row in rows] == [rec.best_program for rec in log]
+        assert any("," in rec.best_program for rec in log)
+        assert [row[:4] for row in rows] == [
+            [str(rec.generation), repr(rec.best_fitness), repr(rec.mean_fitness),
+             str(rec.best_nodes)]
+            for rec in log
+        ]
+
     def test_trivial_case_rejected(self, workdir, capsys):
         path = workdir / "triv.cnf"
         path.write_text("p cnf 1 1\n1 0\n")
@@ -406,8 +436,9 @@ class TestValidateCommand:
 
 
 class TestManifests:
-    # (argv before --out with {a}/{b} for the two input files, exit code,
-    #  master seed, solver config or None, inputs recorded)
+    # (argv before --out, with {a}/{b} for the two CNF files, {acts} for an
+    #  activity file, {prog} for a program file and {ckpt} for a checkpoint;
+    #  exit code, master seed, solver config or None, inputs recorded)
     CASES = {
         "solve": (["solve", "{a}", "--solver-seed", "2"], EXIT_UNSAT,
                   2, SolverConfig(rng_seed=2), ["{a}"]),
@@ -420,19 +451,36 @@ class TestManifests:
         "validate": (["validate", "preset:add_lc", "{a}", "{b}",
                       "--solver-seed", "1"], 0,
                      1, SolverConfig(rng_seed=1), ["{a}", "{b}"]),
+        "gen": (["gen", "--vars", "10", "--clauses", "42", "--seed", "3"], 0,
+                3, None, []),
+        "solve-init-file": (["solve", "{a}", "--init", "file:{acts}"], EXIT_UNSAT,
+                            0, SolverConfig(), ["{a}", "{acts}"]),
+        "validate-program-file": (["validate", "{prog}", "{a}"], 0,
+                                  0, SolverConfig(), ["{prog}", "{a}"]),
+        "evolve-resume": (["evolve", "{a}", "--pop", "4", "--gens", "1", "--seed", "7",
+                           "--resume", "{ckpt}"], 0,
+                          7, SolverConfig(), ["{a}", "{ckpt}"]),
     }
 
-    @pytest.mark.parametrize("command", sorted(CASES))
-    def test_manifest_records_run(self, command, bundled_file, workdir, capsys):
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_manifest_records_run(self, case, bundled_file, workdir, capsys):
         other = workdir / "other.cnf"
         other.write_text(write_dimacs(random_3sat(20, 85, seed=77)))
-        files = {"a": bundled_file, "b": str(other)}
-        argv, code, seed, config, inputs = self.CASES[command]
+        acts = workdir / "acts.txt"
+        acts.write_text(" ".join(str(i / 50) for i in range(50)) + "\n")
+        prog = workdir / "prog.txt"
+        prog.write_text("IN: sub(xp)\n")
+        files = {"a": bundled_file, "b": str(other), "acts": str(acts), "prog": str(prog),
+                 "ckpt": str(workdir / "part" / "checkpoint.txt")}
+        argv, code, seed, config, inputs = self.CASES[case]
+        if "{ckpt}" in argv:
+            assert main(["evolve", bundled_file, "--pop", "4", "--gens", "0", "--seed", "7",
+                         "--out", str(workdir / "part")]) == 0
         argv = [arg.format(**files) for arg in argv]
         out = workdir / "out"
         assert main(argv + ["--out", str(out)]) == code
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["command"] == command
+        assert manifest["command"] == argv[0]
         assert manifest["master_seed"] == seed
         assert manifest["config_hash"] == ("" if config is None else config_hash(config))
         paths = [path.format(**files) for path in inputs]
@@ -467,7 +515,8 @@ class TestSolverFlags:
             assert _solver_config(build_parser().parse_args(argv)) == SolverConfig()
 
     # Refused before any file is read: `decided` is solved by preprocessing,
-    # where no search would ever check the config.
+    # where no search would ever check the config and no fitness case is
+    # accepted.
     @pytest.mark.parametrize("argv", [
         ["solve", "no_such_file.cnf"],
         ["solve", "{f}"],
@@ -482,11 +531,33 @@ class TestSolverFlags:
         (["--restart-first", "0"], "restart_first must be >= 1"),
     ])
     def test_bad_flag_refused_up_front(self, workdir, capsys, argv, flag, message):
+        self.assert_refused_up_front(workdir, capsys, argv + flag, message)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["histogram", "--samples", "0"], "samples must be >= 1"),
+        (["histogram", "--range", "zz"], "bad --range 'zz'; expected lo:hi"),
+        (["histogram", "--samples", "0", "--range", "zz"], "bad --range 'zz'; expected lo:hi"),
+        (["histogram", "--range", "1:0"],
+         "range 1.0:0.0: need lo < hi (or the degenerate all-zero range 0:0)"),
+        (["histogram", "--range", "0:inf"], "range 0.0:inf: lo, hi and hi - lo must be finite"),
+        (["evolve", "--pop", "1"], "population_size must be >= 2"),
+        (["evolve", "--gens", "-3"], "generations must be >= 0"),
+        (["evolve", "--pop", "1", "--gens", "-3"], "generations must be >= 0"),
+    ], ids=["samples", "range-syntax", "samples-and-range", "range-order", "range-finite",
+            "pop", "gens", "pop-and-gens"])
+    def test_command_flag_refused_up_front(self, workdir, capsys, argv, message):
+        command, *flags = argv
+        self.assert_refused_up_front(
+            workdir, capsys, [command, "{f}", "--out", "{out}", *flags], message
+        )
+
+    @staticmethod
+    def assert_refused_up_front(workdir, capsys, argv, message):
         decided = workdir / "decided.cnf"
         decided.write_text("p cnf 2 2\n1 0\n-1 2 0\n")
         out = workdir / "out"
         argv = [arg.format(f=decided, out=out) for arg in argv]
-        assert main(argv + flag) == EXIT_ERROR
+        assert main(argv) == EXIT_ERROR
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
@@ -501,17 +572,13 @@ class TestGen:
                      "--seed", "5", "--out", str(workdir / "g2")]) == 0
         names = sorted(os.listdir(workdir / "g1"))
         assert names == sorted(os.listdir(workdir / "g2"))
+        assert "manifest.json" in names
         for name in names:
-            assert (workdir / "g1" / name).read_text() == (
-                workdir / "g2" / name
-            ).read_text()
-        cnf = read_dimacs(workdir / "g1" / names[0])
+            g1, g2 = ((workdir / d / name).read_bytes() for d in ("g1", "g2"))
+            if name == "manifest.json":  # equal but for the --out it records
+                g1, g2 = (json.loads(text) for text in (g1, g2))
+                assert g1["flags"].pop("out") == str(workdir / "g1")
+                assert g2["flags"].pop("out") == str(workdir / "g2")
+            assert g1 == g2
+        cnf = read_dimacs(workdir / "g1" / "rand3sat_v10_c42_s5.cnf")
         assert cnf.num_vars == 10 and cnf.num_clauses == 42
-
-
-class TestEnvironmentOut:
-    def test_satgp_out_env_var(self, bundled_file, workdir, monkeypatch, capsys):
-        target = workdir / "env_out"
-        monkeypatch.setenv("SATGP_OUT", str(target))
-        assert main(["histogram", bundled_file, "--samples", "3"]) == 0
-        assert (target / "histogram.csv").exists()
