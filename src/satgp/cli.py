@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import astuple
@@ -28,10 +29,8 @@ from pathlib import Path
 
 from . import __version__
 from .cnf import (
-    Cnf,
     DimacsError,
     check_model,
-    compute_var_stats,
     preprocess_bcp,
     random_3sat,
     read_dimacs,
@@ -152,6 +151,7 @@ def _load_program(spec: str) -> InitProgram:
 
 def cmd_solve(args) -> int:
     config = _solver_config(args)
+    build_init = _init_builder(args.init)
     cnf = read_dimacs(args.file)
     reduced, verdict, forced = preprocess_bcp(cnf)
     print(f"c file={args.file} vars={cnf.num_vars} clauses={len(cnf.clauses)}")
@@ -172,7 +172,7 @@ def cmd_solve(args) -> int:
         if args.model:
             _print_model(model)
     else:
-        outcome = solve(reduced, _build_init(args, reduced), config)
+        outcome = solve(reduced, build_init(reduced), config)
         sat = outcome.verdict == "sat"
         if sat:
             model = dict(outcome.model)
@@ -191,27 +191,32 @@ def cmd_solve(args) -> int:
             _print_model(model)
 
     if args.out:
-        init_file_read = verdict == "reduced" and args.init.startswith("file:")
-        init_file = [args.init.removeprefix("file:")] if init_file_read else []
+        init_file = [args.init.removeprefix("file:")] if args.init.startswith("file:") else []
         _emit(args, config, args.solver_seed, [args.file, *init_file], {})
     return EXIT_SAT if sat else EXIT_UNSAT
 
 
-def _build_init(args, reduced: Cnf) -> list[float]:
-    spec = args.init
+def _init_builder(spec: str):
+    """Check an --init spec before the formula is read: the kind, the
+    preset name, or that the file is readable and holds finite numbers.
+    Returns a function giving the activities of the preprocessed formula."""
+    kind, _, name = spec.partition(":")
     if spec == "zero":
-        init = [0.0] * reduced.num_vars
-    elif spec.startswith("preset:"):
-        program = preset_program(spec.split(":", 1)[1])
-        init = compute_activities(program, reduced, compute_var_stats(reduced))
-    elif spec.startswith("file:"):
-        with open(spec.split(":", 1)[1]) as fh:
-            init = [float(tok) for tok in fh.read().split()]
-    else:
-        raise ValueError(
-            f"unknown --init {spec!r}; use zero, preset:<name> or file:<path>"
-        )
-    return init
+        return lambda reduced: [0.0] * reduced.num_vars
+    if kind == "preset":
+        program = preset_program(name)
+        return lambda reduced: compute_activities(program, reduced)
+    if kind == "file":
+        with open(name) as fh:
+            tokens = fh.read().split()
+        try:
+            init = [float(tok) for tok in tokens]
+        except ValueError as exc:
+            raise ValueError(f"--init {spec}: {exc}") from None
+        if not all(map(math.isfinite, init)):
+            raise ValueError(f"--init {spec}: activities must be finite")
+        return lambda reduced: init
+    raise ValueError(f"unknown --init {spec!r}; use zero, preset:<name> or file:<path>")
 
 
 def _print_model(model: dict[int, bool]) -> None:
@@ -370,6 +375,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    for flag, value in (("--clauses", args.clauses), ("--count", args.count)):
+        if value < 0:
+            raise ValueError(f"{flag} must be >= 0, got {value}")
     artifacts = {}
     for seed in range(args.seed, args.seed + args.count):
         cnf = random_3sat(args.vars, args.clauses, seed)

@@ -343,6 +343,8 @@ def random_3sat(num_vars: int, num_clauses: int, seed: int) -> Cnf:
     """
     if num_vars < 3:
         raise ValueError("random_3sat needs at least 3 variables")
+    if num_clauses < 0:
+        raise ValueError(f"random_3sat needs num_clauses >= 0, got {num_clauses}")
     rng = SplitMix64(seed)
     clauses = []
     for _ in range(num_clauses):

@@ -28,9 +28,14 @@ table, _INFIX, shared by parser and printer.
 
 `compute_activities` builds one closure per tree node on each call and
 runs the template with them, counting node evaluations exactly from each
-fragment's static size and the `if` branches taken.  The oracle
-`reference_compute_activities` walks the trees with eval_node and checks
-the loop-terminal ranges before each IN run.  Both must agree bitwise.
+fragment's static size and the `if` branches taken.  A closure reads a
+leaf operand (a terminal or a constant) straight from the shared state
+instead of calling a closure for it.  An IN tree with no register writer
+(add sub mul div set setv1 setv2) and no `if` is inert: it cannot change
+a register, and its node count does not depend on the run, so its runs
+are counted but not executed.  The oracle `reference_compute_activities`
+walks the trees with eval_node and checks the loop-terminal ranges before
+each IN run.  Both must agree bitwise, in values and in counts.
 """
 
 from __future__ import annotations
@@ -210,46 +215,55 @@ def _clamp(x: float) -> float:
     return x
 
 
+# The clamp is written out in the table entries below, `_HI if (r := ...) >
+# _HI else _LO if r < _LO else r`, because a call per node costs more.
+_HI, _LO = CLAMP_LIMIT, -CLAMP_LIMIT
+
+
 def _div(x: float, y: float) -> float:
     """Protected division: a near-zero divisor gives the limit with x's sign."""
     if -DIV_EPSILON < y < DIV_EPSILON:
-        return CLAMP_LIMIT if x >= 0 else -CLAMP_LIMIT
-    return _clamp(x / y)
+        return _HI if x >= 0 else _LO
+    r = x / y
+    return _HI if r > _HI else _LO if r < _LO else r
 
-
-# a0 := f(a0, v), where v is the child's value, computed first because the
-# child may itself write a0.  The new a0 is the return value.
-_A0_WRITERS = {
-    "add": lambda a0, v: _clamp(a0 + v),
-    "sub": lambda a0, v: _clamp(a0 - v),
-    "mul": lambda a0, v: _clamp(a0 * v),
-    "div": _div,
-    "set": lambda a0, v: _clamp(v),
-}
 
 # Pure functions of their children's values, all evaluated left to right.
 # plus/minus/times/pdiv are the infix + - * %; pdiv does not touch a0.
+# min and max keep the builtins' choice between equal values (0 and -0).
 _PURE = {
     "inv": lambda v: _div(1.0, v),
-    "neg": lambda v: _clamp(-v),
+    "neg": lambda v: _HI if (r := -v) > _HI else _LO if r < _LO else r,
     # math.exp overflows above ~709.78
-    "exp": lambda v: CLAMP_LIMIT if v > 709.0 else _clamp(math.exp(v)),
-    "log": lambda v: -CLAMP_LIMIT if v <= 0.0 else _clamp(math.log(v)),
+    "exp": lambda v: _HI if v > 709.0 or (r := math.exp(v)) > _HI else r,
+    # log of a positive double lies in (-745, 710): no clamp needed.
+    "log": lambda v: _LO if v <= 0.0 else math.log(v),
     "sgn": lambda v: -1.0 if v < 0.0 else (1.0 if v > 0.0 else 0.0),
-    "sqrt": lambda v: -1.0 if v < 0.0 else _clamp(math.sqrt(v)),
-    "abs": lambda v: _clamp(abs(v)),
-    "progn2": lambda x, y: _clamp(y),
-    "min": lambda x, y: _clamp(min(x, y)),
-    "max": lambda x, y: _clamp(max(x, y)),
+    "sqrt": lambda v: -1.0 if v < 0.0 else _HI if (r := math.sqrt(v)) > _HI else r,
+    "abs": lambda v: _HI if (r := abs(v)) > _HI else r,
+    "progn2": lambda x, y: _HI if y > _HI else _LO if y < _LO else y,
+    "min": lambda x, y: _HI if (r := y if y < x else x) > _HI else _LO if r < _LO else r,
+    "max": lambda x, y: _HI if (r := y if y > x else x) > _HI else _LO if r < _LO else r,
     "and": lambda x, y: 1.0 if x > 0.0 and y > 0.0 else 0.0,
     "or": lambda x, y: 1.0 if x > 0.0 or y > 0.0 else 0.0,
     "xor": lambda x, y: 1.0 if (x > 0.0) != (y > 0.0) else 0.0,
     "lessthan": lambda x, y: 1.0 if x < y else 0.0,
-    "plus": lambda x, y: _clamp(x + y),
-    "minus": lambda x, y: _clamp(x - y),
-    "times": lambda x, y: _clamp(x * y),
+    "plus": lambda x, y: _HI if (r := x + y) > _HI else _LO if r < _LO else r,
+    "minus": lambda x, y: _HI if (r := x - y) > _HI else _LO if r < _LO else r,
+    "times": lambda x, y: _HI if (r := x * y) > _HI else _LO if r < _LO else r,
     "pdiv": _div,
-    "progn3": lambda x, y, z: _clamp(z),
+    "progn3": lambda x, y, z: _HI if z > _HI else _LO if z < _LO else z,
+}
+
+# a0 := f(a0, v), where v is the child's value, computed first because the
+# child may itself write a0.  The new a0 is the return value.  `set` is
+# progn2: it ignores the old value.
+_A0_WRITERS = {
+    "add": _PURE["plus"],
+    "sub": _PURE["minus"],
+    "mul": _PURE["times"],
+    "div": _div,
+    "set": _PURE["progn2"],
 }
 
 # Function name -> arity, in the order gp.random_tree draws from.
@@ -336,10 +350,16 @@ def _checked_stats(prog: InitProgram, cnf: Cnf, stats: VarStats | None) -> VarSt
 
 
 # Positions in the state list a program's closures share: the register
-# bank, then the terminals bound for the current variable, clause and literal.
+# bank, the terminals bound for the current variable, clause and literal,
+# then the constants 0..4.
 _SLOT = {name: i for i, name in enumerate((
     "a0", "v1", "v2", "xn", "xp", "xc", "nv", "nc",
-    "cs", "xs", "ic", "ln", "lp", "lc", "ls", "il"))}
+    "cs", "xs", "ic", "ln", "lp", "lc", "ls", "il", *_CONSTANTS))}
+
+# IN kinds that write a register, or whose node count depends on the run.
+# An IN tree with none of them changes nothing that PRE or POST can see,
+# so compute_activities need not run it (a structural intron).
+_ACTIVE_IN = frozenset(_A0_WRITERS) | {"setv1", "setv2", "if"}
 
 
 def _closure(node: Node, s: list[float], taken: list[int]):
@@ -347,49 +367,58 @@ def _closure(node: Node, s: list[float], taken: list[int]):
 
     Returns (closure, static count), the static count being the nodes
     evaluated on every run: all but those inside `if` branches.  A taken
-    branch adds its own static count to taken[0] when it runs.
+    branch adds its own static count to taken[0] when it runs.  A unary
+    or binary node reads a leaf operand as s[k] instead of calling it;
+    Python evaluates call arguments left to right, as eval_node does.
     """
     kind, ch = node.kind, node.children
     if not ch:
-        c = _CONSTANTS.get(kind)
-        if c is not None:
-            return (lambda: c), 1
         k = _SLOT[kind]
         return (lambda: s[k]), 1
     built = [_closure(child, s, taken) for child in ch]
+    count = 1 + sum(n for _, n in built)
     if kind == "if":
         (cond, n_cond), (yes, n_yes), (no, n_no) = built
 
         def branch():
             if cond() > 0.0:
                 taken[0] += n_yes
-                return _clamp(yes())
-            taken[0] += n_no
-            return _clamp(no())
+                r = yes()
+            else:
+                taken[0] += n_no
+                r = no()
+            return _HI if r > _HI else _LO if r < _LO else r
 
         return branch, 1 + n_cond
-    count = 1 + sum(n for _, n in built)
-    x = built[0][0]
+    # Each operand: its slot for a leaf, else its closure.
+    ops = [g if c.children else _SLOT[c.kind] for c, (g, _) in zip(ch, built)]
     f = _PURE.get(kind)
-    if f is not None:
-        if len(built) == 1:
-            return (lambda: f(x())), count
-        y = built[1][0]
-        if len(built) == 2:
-            return (lambda: f(x(), y())), count
-        z = built[2][0]
+    if f is None:
+        (x,) = ops
+        # add sub mul div set write a0; setv1 and setv2 write v1 and v2 as
+        # `set` writes a0.  The child runs before the register is read.
+        f = _A0_WRITERS.get(kind, _A0_WRITERS["set"])
+        k = _SLOT.get(kind.removeprefix("set"), 0)
+        if type(x) is int:
+            def write():
+                s[k] = r = f(s[k], s[x])
+                return r
+        else:
+            def write():
+                v = x()
+                s[k] = r = f(s[k], v)
+                return r
+        return write, count
+    if len(ops) == 1:
+        (x,) = ops
+        return (lambda: f(s[x])) if type(x) is int else (lambda: f(x())), count
+    if len(ops) == 3:
+        x, y, z = (g for g, _ in built)
         return (lambda: f(x(), y(), z())), count
-    # add sub mul div set write a0; setv1 and setv2 write v1 and v2 as
-    # `set` writes a0.  The child runs before the register is read.
-    f = _A0_WRITERS.get(kind, _A0_WRITERS["set"])
-    k = _SLOT.get(kind.removeprefix("set"), 0)
-
-    def write():
-        v = x()
-        s[k] = r = f(s[k], v)
-        return r
-
-    return write, count
+    x, y = ops
+    if type(x) is int:
+        return (lambda: f(s[x], s[y])) if type(y) is int else (lambda: f(s[x], y())), count
+    return (lambda: f(x(), s[y])) if type(y) is int else (lambda: f(x(), y())), count
 
 
 def compute_activities(
@@ -405,6 +434,8 @@ def compute_activities(
     one closure per tree node, then runs the per-variable template: PRE,
     IN for every (clause containing X, other literal L) in the pinned
     clause order, POST.  It matches reference_compute_activities bitwise.
+    An IN tree with no register writer and no `if` is inert: it cannot
+    change a0, v1 or v2, so its runs are counted but skipped.
 
     counters (a dict) receives 'in_executions', which is the sum over
     clauses of |C|*(|C|-1), and 'node_evals', exactly eval_node's count:
@@ -419,33 +450,43 @@ def compute_activities(
 
     s = [0.0] * len(_SLOT)
     s[6], s[7] = float(n), float(len(cnf.clauses))  # nv, nc
+    s[16:] = _CONSTANTS.values()
     taken = [0]
     (pre, n_pre), (in_tree, n_in), (post, n_post) = (
         _closure(tree, s, taken) for _, tree in prog.fragments())
 
+    # occurrences[x]: (cs, xs, clause, i) for each clause C in the pinned
+    # order and each position i in C of a literal of variable x.
     occurrences = [[] for _ in range(n + 1)]
-    for clause in binary_first_order(cnf.clauses):
-        for i, lit in enumerate(clause):
-            occurrences[abs(lit)].append((clause, i))
+    if any(node.kind in _ACTIVE_IN for node in iter_nodes(prog.in_loop)):
+        for clause in binary_first_order(cnf.clauses):
+            cs = float(len(clause))
+            for i, lit in enumerate(clause):
+                occurrences[abs(lit)].append((cs, 1.0 if lit > 0 else 0.0, clause, i))
+    # (ln, lp, lc, ls) of each literal, indexed by signed literal (-v at 2n+1-v).
+    terms = [(xnf[v], xpf[v], xcf[v], 1.0) for v in range(n + 1)]
+    terms += [(xnf[v], xpf[v], xcf[v], 0.0) for v in range(n, 0, -1)]
 
-    in_runs = 0
     out = [0.0] * n
     for x in range(1, n + 1):
         s[:6] = 0.0, 0.0, 0.0, xnf[x], xpf[x], xcf[x]  # a0 v1 v2 xn xp xc
         pre()
-        for ic, (clause, i) in enumerate(occurrences[x]):
-            s[8], s[9], s[10] = (  # cs xs ic
-                float(len(clause)), 1.0 if clause[i] > 0 else 0.0, float(ic))
-            for il, lit in enumerate(clause[:i] + clause[i + 1:]):
-                lv = abs(lit)
-                s[11], s[12], s[13], s[14], s[15] = (  # ln lp lc ls il
-                    xnf[lv], xpf[lv], xcf[lv], 1.0 if lit > 0 else 0.0, float(il))
-                in_tree()
-            in_runs += len(clause) - 1
+        ic = 0.0
+        for s[8], s[9], clause, i in occurrences[x]:  # cs xs
+            s[10] = ic
+            ic += 1.0
+            il = 0.0
+            for j, lit in enumerate(clause):
+                if j != i:
+                    s[11:15] = terms[lit]  # ln lp lc ls
+                    s[15] = il
+                    il += 1.0
+                    in_tree()
         post()
         out[x - 1] = _clamp(s[0])
 
     if counters is not None:
+        in_runs = sum(len(c) * (len(c) - 1) for c in cnf.clauses)
         counters["node_evals"] = n * (n_pre + n_post) + in_runs * n_in + taken[0]
         counters["in_executions"] = in_runs
     return out

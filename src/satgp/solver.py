@@ -32,10 +32,12 @@ harness.config_hash covers both.
 Data structures follow MiniSat (Een & Sorensson, SAT 2003) in plain
 Python lists.  The truth values and the watch lists are indexed by signed
 literal: with 2n+1 entries, Python's negative indexing puts literal -v at
-2n+1-v, so reading a literal needs no abs().  Decisions scan the variable
-range linearly, and there are no blocker literals and no order heap,
-because both would change the watch order or the random draws, and so the
-trace.  Intended for desk-scale experiments.
+2n+1-v, so reading a literal needs no abs().  Propagation tries a visited
+clause's third literal before it scans the rest, and on a conflict keeps
+the watchers it has not visited in their order.  Decisions scan the
+variable range linearly, and there are no blocker literals and no order
+heap, because both would change the watch order or the random draws, and
+so the trace.  Intended for desk-scale experiments.
 """
 
 from __future__ import annotations
@@ -167,7 +169,9 @@ class _Search:
         """Process the trail queue; return a conflicting clause or None.
 
         A visited clause first moves its falsified watch to lits[1].  The
-        loop is inlined because it takes most of a search's time.
+        loop is inlined because it takes most of a search's time; the
+        third literal, the only other one of a 3-SAT clause, is tried
+        before the scan of the rest.
         """
         trail = self.trail
         val = self.val
@@ -176,7 +180,7 @@ class _Search:
         reason = self.reason
         depth = len(self.trail_lim)
         qhead = self.qhead
-        props = 0
+        start = len(trail)
         confl = None
         while qhead < len(trail):
             false_lit = -trail[qhead]
@@ -186,7 +190,8 @@ class _Search:
                 continue
             keep: list[_Clause] = []
             watches[false_lit] = keep
-            for idx, clause in enumerate(watchers):
+            visits = iter(watchers)
+            for clause in visits:
                 lits = clause.lits
                 first = lits[0]
                 if first == false_lit:
@@ -196,7 +201,13 @@ class _Search:
                 if val[first] is True:
                     keep.append(clause)
                     continue
-                for k in range(2, len(lits)):
+                if len(lits) > 2 and val[lits[2]] is not False:
+                    lit = lits[2]
+                    lits[1] = lit
+                    lits[2] = false_lit
+                    watches[lit].append(clause)
+                    continue
+                for k in range(3, len(lits)):
                     lit = lits[k]
                     if val[lit] is not False:
                         lits[1] = lit
@@ -206,7 +217,7 @@ class _Search:
                 else:
                     keep.append(clause)
                     if val[first] is False:
-                        keep.extend(watchers[idx + 1 :])
+                        keep.extend(visits)  # the watchers not yet visited
                         confl = clause
                         qhead = len(trail)
                         break
@@ -216,21 +227,13 @@ class _Search:
                     level[v] = depth
                     reason[v] = clause
                     trail.append(first)
-                    props += 1
             if confl is not None:
                 break
         self.qhead = qhead
-        self.propagations += props
+        self.propagations += len(trail) - start
         return confl
 
     # -- activities ----------------------------------------------------------
-
-    def bump_var(self, v: int) -> None:
-        self.activity[v] += self.var_inc
-        if self.activity[v] > SCHEDULE["rescale_threshold"]:
-            for u in range(1, self.n + 1):
-                self.activity[u] *= VAR_RESCALE_FACTOR
-            self.var_inc *= VAR_RESCALE_FACTOR
 
     def bump_clause(self, clause: _Clause) -> None:
         clause.activity += self.cla_inc
@@ -263,17 +266,21 @@ class _Search:
                 self.bump_clause(clause)
             lits = clause.lits
             for q in lits if p == 0 else lits[1:]:  # lits[0] is the resolved literal
-                v = abs(q)
-                if not seen[v] and level[v] > 0:
-                    seen[v] = True
-                    if level[v] == current:
-                        counter += 1
-                    else:
-                        learnt.append(q)
-            while not seen[abs(trail[idx])]:
+                v = q if q > 0 else -q
+                if not seen[v]:
+                    lv = level[v]
+                    if lv > 0:
+                        seen[v] = True
+                        if lv == current:
+                            counter += 1
+                        else:
+                            learnt.append(q)
+            while True:
+                p = trail[idx]
+                v = p if p > 0 else -p
+                if seen[v]:
+                    break
                 idx -= 1
-            p = trail[idx]
-            v = abs(p)
             seen[v] = False
             counter -= 1
             if counter == 0:
@@ -284,17 +291,18 @@ class _Search:
         # Every current-level mark was cleared as its variable was resolved;
         # the rest are exactly the learnt clause's other variables.
         for q in learnt[1:]:
-            seen[abs(q)] = False
+            seen[q if q > 0 else -q] = False
         learnt[0] = -p
         if len(learnt) == 1:
-            bt_level = 0
-        else:
-            max_i = 1
-            for i in range(2, len(learnt)):
-                if level[abs(learnt[i])] > level[abs(learnt[max_i])]:
-                    max_i = i
-            learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-            bt_level = level[abs(learnt[1])]
+            return learnt, 0
+        max_i = 1
+        bt_level = 0
+        for i in range(1, len(learnt)):
+            q = learnt[i]
+            lv = level[q if q > 0 else -q]
+            if lv > bt_level:
+                max_i, bt_level = i, lv
+        learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
         return learnt, bt_level
 
     # -- learned clause database ----------------------------------------------
@@ -326,15 +334,23 @@ class _Search:
     # -- search --------------------------------------------------------------
 
     def decide(self) -> None:
+        """Assign false to an unassigned variable: with probability
+        random_decision_freq a uniform one, else one of maximum activity,
+        the ties broken uniformly in variable order."""
         val = self.val
-        unassigned = [v for v in range(1, self.n + 1) if val[v] is None]
-        if self.rng.random() < self.config.random_decision_freq:
-            v = unassigned[self.rng.randrange(len(unassigned))]
+        rng = self.rng
+        free = [v for v in range(1, self.n + 1) if val[v] is None]
+        if rng.random() < self.config.random_decision_freq:
+            v = free[rng.randrange(len(free))]
         else:
             act = self.activity
-            best = max([act[v] for v in unassigned])
-            ties = [v for v in unassigned if act[v] == best]
-            v = ties[0] if len(ties) == 1 else ties[self.rng.randrange(len(ties))]
+            acts = [act[v] for v in free]
+            best = max(acts)
+            ties = acts.count(best)
+            if ties == 1:
+                v = free[acts.index(best)]
+            else:
+                v = [u for u, a in zip(free, acts) if a == best][rng.randrange(ties)]
         self.decisions += 1
         self.trail_lim.append(len(self.trail))
         self.enqueue(-v, None)  # false first
@@ -352,9 +368,15 @@ class _Search:
             else:
                 self.attach(_Clause(list(clause_lits)))
 
+        rescale_threshold = SCHEDULE["rescale_threshold"]
+        restart_factor = SCHEDULE["restart_factor"]
+        learnt_db_growth = SCHEDULE["learnt_db_growth"]
+        clause_decay = SCHEDULE["clause_decay"]
         max_learnts = len(self.cnf.clauses) * SCHEDULE["learnt_db_initial_fraction"]
+        var_decay = self.config.var_decay
         restart_budget = float(self.config.restart_first)
         conflicts_since_restart = 0
+        activity = self.activity
 
         while True:
             confl = self.propagate()
@@ -373,16 +395,23 @@ class _Search:
                     self.learnts.append(clause)
                     self.bump_clause(clause)
                     self.enqueue(learnt[0], clause)
+                # Bump the learnt clause's variables; rescale all on overflow.
+                var_inc = self.var_inc
                 for lit in learnt:
-                    self.bump_var(abs(lit))
-                self.var_inc /= self.config.var_decay
-                self.cla_inc /= SCHEDULE["clause_decay"]
+                    v = lit if lit > 0 else -lit
+                    activity[v] += var_inc
+                    if activity[v] > rescale_threshold:
+                        for u in range(1, self.n + 1):
+                            activity[u] *= VAR_RESCALE_FACTOR
+                        var_inc *= VAR_RESCALE_FACTOR
+                self.var_inc = var_inc / var_decay
+                self.cla_inc /= clause_decay
             else:
                 if conflicts_since_restart >= restart_budget:
                     # Restart: back to level 0, keep clauses and activities.
                     conflicts_since_restart = 0
-                    restart_budget *= SCHEDULE["restart_factor"]
-                    max_learnts *= SCHEDULE["learnt_db_growth"]
+                    restart_budget *= restart_factor
+                    max_learnts *= learnt_db_growth
                     self.cancel_until(0)
                     continue
                 if len(self.learnts) - len(self.trail) >= max_learnts:

@@ -543,12 +543,30 @@ class TestSolverFlags:
         (["evolve", "--pop", "1"], "population_size must be >= 2"),
         (["evolve", "--gens", "-3"], "generations must be >= 0"),
         (["evolve", "--pop", "1", "--gens", "-3"], "generations must be >= 0"),
+        (["solve", "--init", "nonsense"],
+         "unknown --init 'nonsense'; use zero, preset:<name> or file:<path>"),
+        (["solve", "--init", "preset:nope"],
+         "unknown preset 'nope'; available: add_lc, precursor, sub_xp, zero"),
+        (["solve", "--init", "file:no_such_acts.txt"],
+         "no_such_acts.txt: No such file or directory"),
     ], ids=["samples", "range-syntax", "samples-and-range", "range-order", "range-finite",
-            "pop", "gens", "pop-and-gens"])
+            "pop", "gens", "pop-and-gens", "init-kind", "init-preset", "init-file"])
     def test_command_flag_refused_up_front(self, workdir, capsys, argv, message):
         command, *flags = argv
         self.assert_refused_up_front(
             workdir, capsys, [command, "{f}", "--out", "{out}", *flags], message
+        )
+
+    @pytest.mark.parametrize("text,message", [
+        ("0.5 x\n", "could not convert string to float: 'x'"),
+        ("0.5 nan\n", "activities must be finite"),
+    ])
+    def test_init_file_contents_refused_up_front(self, workdir, capsys, text, message):
+        acts = workdir / "acts.txt"
+        acts.write_text(text)
+        self.assert_refused_up_front(
+            workdir, capsys, ["solve", "{f}", "--init", f"file:{acts}", "--out", "{out}"],
+            f"--init file:{acts}: {message}",
         )
 
     @staticmethod
@@ -582,3 +600,14 @@ class TestGen:
             assert g1 == g2
         cnf = read_dimacs(workdir / "g1" / "rand3sat_v10_c42_s5.cnf")
         assert cnf.num_vars == 10 and cnf.num_clauses == 42
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--clauses", "-1"], "--clauses must be >= 0, got -1"),
+        (["--count", "-2"], "--count must be >= 0, got -2"),
+        (["--clauses", "-1", "--count", "0"], "--clauses must be >= 0, got -1"),
+    ])
+    def test_negative_counts_refused_before_writing(self, workdir, capsys, flags, message):
+        out = workdir / "g"
+        assert main(["gen", "--vars", "5", *flags, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()

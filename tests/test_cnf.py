@@ -209,6 +209,15 @@ class TestPreprocessBcp:
         assert reduced.clauses == ((2, 3), (3, 4), (2, 3))
 
 
+class TestRandom3Sat:
+    def test_counts_refused(self):
+        with pytest.raises(ValueError, match="at least 3 variables"):
+            random_3sat(2, 5, seed=0)
+        with pytest.raises(ValueError, match="num_clauses >= 0, got -1"):
+            random_3sat(5, -1, seed=0)
+        assert random_3sat(5, 0, seed=0) == Cnf(5, ())
+
+
 class TestReorder:
     def test_deterministic(self):
         cnf = random_3sat(15, 40, seed=5)

@@ -104,6 +104,16 @@ class TestEvalSemantics:
         _, regs = run_tree("set(neg(exp(4))*exp(4)*exp(4)*exp(4)*exp(4)*exp(4)*exp(4))")
         assert regs.a0 == -CLAMP_LIMIT
 
+    @pytest.mark.parametrize("expr,value", [
+        ("if(1, xc, 0)", CLAMP_LIMIT), ("if(0, 0, neg(xc))", -CLAMP_LIMIT),
+        ("progn2(0, xc)", CLAMP_LIMIT), ("progn3(0, 0, xc)", CLAMP_LIMIT),
+        ("min(xc, xc)", CLAMP_LIMIT), ("max(xc, 0)", CLAMP_LIMIT), ("abs(xc)", CLAMP_LIMIT),
+        ("neg(xc)", -CLAMP_LIMIT), ("plus(xc, 1)", CLAMP_LIMIT), ("setv1(xc)", CLAMP_LIMIT),
+    ])
+    def test_terminals_beyond_the_limit_clamped(self, expr, value):
+        # Only a terminal (here xc = 3e6) can exceed the limit unclamped.
+        assert run_tree(expr, xc=3e6)[0] == value
+
     def test_side_effect_order_left_to_right(self):
         # add(set(3)) sets a0 to 3, then adds 3 to the already-updated a0.
         value, regs = run_tree("add(set(3))")
@@ -403,6 +413,41 @@ class TestClosureEvaluation:
         got, regs = run_tree(expr, a0=1.0, v1=2.0)
         assert (got, regs.a0) == (value, a0)
 
+    @pytest.mark.parametrize("expr,value,a0,v1", [
+        ("plus(a0, add(1))", 3.0, 2.0, 2.0),  # the leaf a0 is read first
+        ("plus(add(1), a0)", 4.0, 2.0, 2.0),  # ... and here after add runs
+        ("setv1(v1)", 2.0, 1.0, 2.0),
+        ("add(a0)", 2.0, 2.0, 2.0),
+        ("minus(setv1(3), v1)", 0.0, 1.0, 3.0),
+    ])
+    def test_leaf_operand_next_to_register_writer(self, expr, value, a0, v1):
+        got, regs = run_tree(expr, a0=1.0, v1=2.0)
+        assert (got, regs.a0, regs.v1) == (value, a0, v1)
+
+    @pytest.mark.parametrize("kind", list(FUNCTIONS))
+    def test_every_kind_on_leaf_and_non_leaf_operands(self, kind):
+        # Operand i is the leaf LEAVES[i] or the register writer WRITERS[i],
+        # which changes what the leaves read; all 2**arity mixes.
+        leaves = ("a0", "v1", "xc")
+        writers = ("add(2)", "setv1(minus(a0, v1))", "sub(xc)")
+        arity = FUNCTIONS[kind]
+        for mask in range(2 ** arity):
+            args = [writers[i] if mask >> i & 1 else leaves[i] for i in range(arity)]
+            for a0 in (1.5, -0.5, 0.0):
+                run_tree(f"{kind}({', '.join(args)})", a0=a0, v1=-2.0, xc=3.0)
+
+    @pytest.mark.parametrize("kind,pick", [
+        ("min", min), ("max", max), ("progn2", lambda x, y: y),
+    ])
+    def test_signed_zero(self, kind, pick):
+        # neg(0) is -0.0, and so is the leaf a0 here; the builtins min and
+        # max return their first argument when the two compare equal.
+        for x in ("0", "neg(0)", "a0"):
+            for y in ("0", "neg(0)", "a0"):
+                value, _ = run_tree(f"{kind}({x}, {y})", a0=-0.0)
+                expected = pick(*(0.0 if arg == "0" else -0.0 for arg in (x, y)))
+                assert struct.pack("<d", value) == struct.pack("<d", expected), (x, y)
+
     def test_if_counts_condition_and_taken_branch_only(self):
         cnf = Cnf(2, ((1, 2),))
         # 2 IN runs: `if` + cond (2 nodes) + taken branch set(lc)
@@ -412,6 +457,49 @@ class TestClosureEvaluation:
             counters = {}
             compute_activities(prog, cnf, counters=counters)
             assert counters == {"node_evals": 2 * 2 + 2 * per_run, "in_executions": 2}
+
+# A repeated clause, a unit and an empty clause; an IN tree that writes
+# no register and has no `if` is skipped on it, and must still count
+# every (clause, literal) run.
+INERT_CNF = Cnf(5, ((1, -2), (2, 3, -4, 5), (1, -2), (-3,), (), (4, -5, 1), (2, 3, -4, 5)))
+
+
+class TestInertIn:
+    @pytest.mark.parametrize("text", [
+        "IN: 0",
+        "PRE: set(xp) / IN: exp(lc)+sgn(ls)*a0 / POST: add(v1)",
+        "PRE: setv1(xc) / IN: min(v1, lessthan(a0, ln)) / POST: mul(v1)",
+        "PRE: set(2) / IN: progn3(ic, il, cs) / POST: div(nc)",
+        # Not inert: setv1 changes what POST reads; `if` counts its branch.
+        "PRE: set(xn) / IN: setv1(v1+ln) / POST: add(v1)",
+        "IN: if(ls, xs, progn2(ln, lp))",
+    ])
+    def test_matches_template(self, monkeypatch, text):
+        prog = parse_program(text)
+        for cnf in (INERT_CNF, preprocess_bcp(bundled_cnf())[0]):
+            _check_against_template(prog, cnf, compute_var_stats(cnf), monkeypatch)
+
+    def test_random_inert_programs_match_template(self, monkeypatch):
+        rng = SplitMix64(128)
+        programs = []
+        while len(programs) < 8:
+            prog = InitProgram(*(random_tree(rng, f, 2 + rng.randrange(3), "grow")
+                                 for f in FRAGMENT_NAMES))
+            if not any(node.kind in lang._ACTIVE_IN for node in lang.iter_nodes(prog.in_loop)):
+                programs.append(prog)
+        stats = compute_var_stats(INERT_CNF)
+        for prog in programs:
+            _check_against_template(prog, INERT_CNF, stats, monkeypatch)
+
+    def test_inert_in_loop_is_skipped(self, monkeypatch):
+        calls = []
+        order = lang.binary_first_order
+        monkeypatch.setattr(lang, "binary_first_order", lambda c: calls.append(c) or order(c))
+        for text, runs in (("IN: exp(lc)+a0", 0), ("IN: setv2(lc)", 1), ("IN: if(0, 1, 2)", 1)):
+            calls.clear()
+            compute_activities(parse_program(text), INERT_CNF)
+            assert len(calls) == runs, text
+
 
 class TestNormalize:
     def test_examples(self):

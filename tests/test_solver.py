@@ -7,7 +7,7 @@ from conftest import make_random_cnf
 from oracles import model_satisfies, truth_table_satisfiable
 from satgp import solver
 from satgp.cnf import Cnf, preprocess_bcp, random_3sat
-from satgp.lang import normalize
+from satgp.lang import compute_activities, normalize, preset_program
 from satgp.rng import SplitMix64
 from satgp.solver import SolveOutcome, SolverConfig, solve, solve_with_baseline
 
@@ -249,3 +249,65 @@ class TestHardUnsat:
         out = solve_with_baseline(cnf)
         assert out.verdict == "unsat"
         assert out.conflicts > 0
+
+
+def mixed_width_cnf(seed: int, n: int, binary: int, ternary: int, wide: int) -> Cnf:
+    """Random binary, 3-literal and 5-8-literal clauses, shuffled together."""
+    rng = SplitMix64(seed)
+    clauses = [*make_random_cnf(rng, n, binary, 2, 2).clauses,
+               *make_random_cnf(rng, n, ternary, 3, 3).clauses,
+               *make_random_cnf(rng, n, wide, 5, 8).clauses]
+    rng.shuffle(clauses)
+    return Cnf(n, tuple(clauses))
+
+
+def with_duplicate_literals(cnf: Cnf) -> Cnf:
+    """Every 7th clause repeats its first literal in front, so that clause
+    sits twice in one watch list."""
+    return Cnf(cnf.num_vars, tuple((c[0],) + c if i % 7 == 0 else c
+                                   for i, c in enumerate(cnf.clauses)))
+
+
+MIXED_WIDTH_INSTANCES = {
+    "a": (1, 100, 20, 340, 300),
+    "b": (1, 100, 25, 340, 300),
+    "c": (2, 120, 30, 408, 240),
+}
+
+# (instance, init, solver seed, random_decision_freq, duplicate literals)
+# -> (verdict, conflicts, decisions, propagations), computed with the
+# propagate loop that scanned every clause from its third literal with
+# enumerate and copied the unvisited watchers by position on a conflict.
+PINNED_MIXED_WIDTH = [
+    ("a", "zero", 0, 0.02, False, ("unsat", 668, 833, 20544)),
+    ("a", "add_lc", 0, 0.02, False, ("unsat", 776, 1008, 23857)),
+    ("a", "zero", 1, 0.2, False, ("unsat", 588, 815, 16291)),
+    ("b", "zero", 0, 0.02, False, ("sat", 377, 489, 11909)),
+    ("b", "add_lc", 0, 0.02, False, ("sat", 95, 135, 2605)),
+    ("b", "zero", 1, 0.2, False, ("sat", 142, 194, 4383)),
+    ("c", "zero", 0, 0.02, False, ("sat", 615, 870, 21698)),
+    ("c", "add_lc", 0, 0.02, False, ("sat", 64, 103, 2462)),
+    ("c", "zero", 1, 0.2, False, ("sat", 82, 138, 2764)),
+    ("a", "zero", 0, 0.02, True, ("unsat", 521, 699, 14352)),
+    ("b", "zero", 0, 0.02, True, ("sat", 256, 342, 6898)),
+    ("c", "zero", 0, 0.02, True, ("sat", 138, 231, 4093)),
+]
+
+
+class TestMixedWidthTraces:
+    """Original 2-literal clauses and 5-8-literal clauses take the
+    propagate paths that 3-SAT instances rarely do."""
+
+    @pytest.mark.parametrize("name,init,seed,freq,dup,trace", PINNED_MIXED_WIDTH)
+    def test_pinned_trace(self, name, init, seed, freq, dup, trace):
+        cnf = mixed_width_cnf(*MIXED_WIDTH_INSTANCES[name])
+        assert {len(c) for c in cnf.clauses} == {2, 3, 5, 6, 7, 8}
+        if dup:
+            cnf = with_duplicate_literals(cnf)
+        acts = ([0.0] * cnf.num_vars if init == "zero"
+                else compute_activities(preset_program(init), cnf))
+        config = SolverConfig(rng_seed=seed, random_decision_freq=freq)
+        out = solve(cnf, acts, config)
+        assert counts(out) == trace
+        if out.verdict == "sat":
+            assert model_satisfies(cnf, out.model)
