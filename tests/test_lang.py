@@ -426,7 +426,7 @@ class TestClosureEvaluation:
 
     @pytest.mark.parametrize("kind", list(FUNCTIONS))
     def test_every_kind_on_leaf_and_non_leaf_operands(self, kind):
-        # Operand i is the leaf LEAVES[i] or the register writer WRITERS[i],
+        # Operand i is the leaf leaves[i] or the register writer writers[i],
         # which changes what the leaves read; all 2**arity mixes.
         leaves = ("a0", "v1", "xc")
         writers = ("add(2)", "setv1(minus(a0, v1))", "sub(xc)")
@@ -457,6 +457,7 @@ class TestClosureEvaluation:
             counters = {}
             compute_activities(prog, cnf, counters=counters)
             assert counters == {"node_evals": 2 * 2 + 2 * per_run, "in_executions": 2}
+
 
 # A repeated clause, a unit and an empty clause; an IN tree that writes
 # no register and has no `if` is skipped on it, and must still count
