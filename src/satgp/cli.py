@@ -157,38 +157,24 @@ def cmd_solve(args) -> int:
     print(f"c file={args.file} vars={cnf.num_vars} clauses={len(cnf.clauses)}")
     print(f"c forced={len(forced)} preprocess={verdict}")
 
-    if verdict == "unsatisfiable":
-        sat = False
-        print("s UNSATISFIABLE")
-        print("c conflicts=0 decisions=0 propagations=0")
-    elif verdict == "satisfied":
-        sat = True
-        model = {v: False for v in range(1, cnf.num_vars + 1)}
-        for lit in forced:
-            model[abs(lit)] = lit > 0
-        check_model(cnf, model)
-        print("s SATISFIABLE")
-        print("c conflicts=0 decisions=0 propagations=0")
-        if args.model:
-            _print_model(model)
-    else:
+    outcome = None
+    sat = verdict == "satisfied"
+    model = dict.fromkeys(range(1, cnf.num_vars + 1), False)
+    if verdict == "reduced":
         outcome = solve(reduced, build_init(reduced), config)
         sat = outcome.verdict == "sat"
-        if sat:
-            model = dict(outcome.model)
-            for lit in forced:  # forced assignments win over solver's defaults
-                model[abs(lit)] = lit > 0
-            check_model(cnf, model)
-            print("s SATISFIABLE")
-        else:
-            print("s UNSATISFIABLE")
-        print(
-            f"c conflicts={outcome.conflicts} decisions={outcome.decisions}"
-            f" propagations={outcome.propagations}"
-        )
+        model = outcome.model or model
+    if sat:
+        for lit in forced:  # forced assignments win over the search's model
+            model[abs(lit)] = lit > 0
+        check_model(cnf, model)
+    print("s SATISFIABLE" if sat else "s UNSATISFIABLE")
+    counts = (outcome.conflicts, outcome.decisions, outcome.propagations) if outcome else (0, 0, 0)
+    print("c conflicts={} decisions={} propagations={}".format(*counts))
+    if outcome is not None:
         print(f"c wall_time={outcome.wall_time:.6f}")
-        if args.model and sat:
-            _print_model(model)
+    if args.model and sat:
+        _print_model(model)
 
     if args.out:
         init_file = [args.init.removeprefix("file:")] if args.init.startswith("file:") else []
@@ -425,8 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="evolve an initialization program")
     p.add_argument("files", nargs="+", help="fitness case DIMACS files")
-    p.add_argument("--pop", type=int, default=1000)
-    p.add_argument("--gens", type=int, default=5)
+    p.add_argument("--pop", type=int, default=GpConfig().population_size)
+    p.add_argument("--gens", type=int, default=GpConfig().generations)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--resume", default=None, help="continue from a checkpoint file")
     p.add_argument("--jobs", type=_jobs, default=1)

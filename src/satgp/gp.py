@@ -23,10 +23,10 @@ Each run_evolution call keeps an exact two-level evaluation memo
 (EvalMemo): a program text seen before skips the interpreter, and an
 initialization seen before on a case skips the solver.  It serves one
 run only (made there, or handed in fresh by a caller that reads its
-counters), so every run does the work of a fresh one.  With jobs > 1
-the distinct new texts of the initial population are evaluated in a
-worker pool (harness.map_shared) and fill the memo; results never depend
-on the worker count.
+counters), so every run does the work of a fresh one.  The distinct new
+programs of the initial population are evaluated through
+harness.map_shared, inline or in a worker pool by the job count, and
+fill the memo; results never depend on the worker count.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import struct
 from dataclasses import dataclass, field, replace
 
 from .cnf import Cnf, VarStats, compute_var_stats, preprocess_bcp, write_dimacs
-from .harness import config_hash, map_shared, pool_size
+from .harness import config_hash, map_shared
 from .lang import (
     FUNCTIONS,
     TERMINALS_BY_FRAGMENT,
@@ -51,7 +51,6 @@ from .lang import (
     replace_subtree,
     subtree_at,
     tree_depth,
-    validate_program,
 )
 from .rng import SplitMix64
 from .solver import SolverConfig, solve
@@ -202,12 +201,12 @@ def evaluate(
     return ind
 
 
-def _evaluate_text(shared, text: str):
-    """Pool task: the case results of one program text, and the number of
+def _evaluate_program(shared, program: InitProgram):
+    """map_shared task: the case results of one program, and the number of
     searches they took.  shared is (cases, this worker's own memo)."""
     cases, memo = shared
     searches = memo.searches
-    results = _case_results(parse_program(text), cases, memo)
+    results = _case_results(program, cases, memo)
     return results, memo.searches - searches
 
 
@@ -216,27 +215,23 @@ def evaluate_population(
 ) -> None:
     """Evaluate all unevaluated individuals, optionally in parallel.
 
-    With more than one worker, the distinct program texts the memo lacks
-    are evaluated in a process pool first and fill the memo.  Every
-    individual then goes through `evaluate` in population order, so the
-    outcome is identical to sequential evaluation for any worker count.
+    The distinct programs whose text the memo lacks go through map_shared
+    first, each worker memo starting from a copy of by_init, and fill the
+    memo.  Every individual then goes through `evaluate` in population
+    order, so the outcome is the same for any worker count.
     """
     if memo is None:
         memo = EvalMemo()
     todo = [ind for ind in population if ind.fitness is None]
-    if jobs > 1:
-        texts = [
-            text
-            for text in dict.fromkeys(print_program(ind.program) for ind in todo)
-            if text not in memo.by_text
-        ]
-        if pool_size(jobs, len(texts)) > 1:
-            done = map_shared(_evaluate_text, (cases, EvalMemo()), texts, jobs)
-            for text, (results, searches) in zip(texts, done):
-                memo.by_text[text] = [result for _, result in results]
-                memo.by_init.update(results)
-                memo.interpreter_runs += len(results)
-                memo.searches += searches
+    programs = {print_program(ind.program): ind.program for ind in todo}
+    texts = [text for text in programs if text not in memo.by_text]
+    shared = (cases, EvalMemo(by_init=dict(memo.by_init)))
+    done = map_shared(_evaluate_program, shared, [programs[t] for t in texts], jobs)
+    for text, (results, searches) in zip(texts, done):
+        memo.by_text[text] = [result for _, result in results]
+        memo.by_init.update(results)
+        memo.interpreter_runs += len(results)
+        memo.searches += searches
     for ind in todo:
         evaluate(ind, cases, memo)
 
@@ -383,7 +378,9 @@ def step_steady_state(
     a population of fewer than 2 is refused with ValueError.  on_child,
     when given, is called with every freshly created Individual after
     evaluation (used by tests to audit depth and terminal rules).
-    Children are evaluated through `memo`, or a memo of this call only.
+    Children are evaluated through `memo`, or a memo of this call only;
+    compute_activities validates each program it runs, and a copy shares
+    its parent's program.
     """
     if len(population) < 2:
         raise ValueError(
@@ -417,7 +414,6 @@ def step_steady_state(
 
         rng.next_u64()  # unused draw, part of the pinned GP random stream
 
-        validate_program(child.program)  # fragment closure is an invariant
         if child.fitness is None:
             evaluate(child, cases, memo)
         if on_child is not None:

@@ -30,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import partial
 
-from .cnf import Cnf, compute_var_stats, preprocess_bcp, random_3sat, reorder
+from .cnf import Cnf, preprocess_bcp, random_3sat, reorder
 from .lang import InitProgram, compute_activities, print_program
 from .rng import SplitMix64, spawn_seeds
 from .solver import SCHEDULE, SolveOutcome, SolverConfig, solve, solve_with_baseline
@@ -306,9 +306,7 @@ def run_validation(
             )
             continue
         base = solve_with_baseline(reduced, config)
-        stats = compute_var_stats(reduced)
-        acts = compute_activities(program, reduced, stats)
-        prog_out = solve(reduced, acts, config)
+        prog_out = solve(reduced, compute_activities(program, reduced), config)
         percent = (
             100.0 * prog_out.conflicts / base.conflicts
             if base.conflicts

@@ -20,11 +20,11 @@ negative limit according to the numerator's sign (sign of 0 counts as
 positive).  Every function is total, so evaluation cannot fail at runtime.
 
 Each primitive is defined once: the terminals in TERMINALS_BY_FRAGMENT,
-the functions in the evaluation tables _A0_WRITERS (add sub mul div set)
-and _PURE (inv .. progn3) plus the three special forms of eval_node (the
-lazy `if`, setv1, setv2).  The FUNCTIONS arity table is derived from
-them, and the text format's infix operators (+ - * %) come from one
-table, _INFIX, shared by parser and printer.
+the functions in two evaluation tables, _WRITERS (the seven register
+writers add sub mul div set setv1 setv2) and _PURE (inv .. progn3), plus
+the lazy `if`, the only special form.  The FUNCTIONS arity table is
+derived from them, and the text format's infix operators (+ - * %) come
+from one table, _INFIX, shared by parser and printer.
 
 `compute_activities` builds one closure per tree node on each call and
 runs the template with them, counting node evaluations exactly from each
@@ -255,21 +255,22 @@ _PURE = {
     "progn3": lambda x, y, z: _HI if z > _HI else _LO if z < _LO else z,
 }
 
-# a0 := f(a0, v), where v is the child's value, computed first because the
-# child may itself write a0.  The new a0 is the return value.  `set` is
-# progn2: it ignores the old value.
-_A0_WRITERS = {
-    "add": _PURE["plus"],
-    "sub": _PURE["minus"],
-    "mul": _PURE["times"],
-    "div": _div,
-    "set": _PURE["progn2"],
+# Writer -> (register r, f): r := f(r, v), where v is the child's value,
+# computed first because the child may itself write r.  The new r is the
+# return value.  The set* writers are progn2: they ignore the old value.
+_WRITERS = {
+    "add": ("a0", _PURE["plus"]),
+    "sub": ("a0", _PURE["minus"]),
+    "mul": ("a0", _PURE["times"]),
+    "div": ("a0", _div),
+    "set": ("a0", _PURE["progn2"]),
+    "setv1": ("v1", _PURE["progn2"]),
+    "setv2": ("v2", _PURE["progn2"]),
 }
 
 # Function name -> arity, in the order gp.random_tree draws from.
 FUNCTIONS = {
-    **dict.fromkeys(_A0_WRITERS, 1),
-    "setv1": 1, "setv2": 1,
+    **dict.fromkeys(_WRITERS, 1),
     **{name: f.__code__.co_argcount for name, f in _PURE.items()},
     "if": 3,
 }
@@ -300,21 +301,15 @@ def eval_node(node: Node, ctx: EvalContext, regs: Registers) -> float:
         if len(ch) == 2:
             return f(x, y)
         return f(x, y, eval_node(ch[2], ctx, regs))
-    f = _A0_WRITERS.get(kind)
-    if f is not None:
+    if kind in _WRITERS:
+        reg, f = _WRITERS[kind]
         v = eval_node(ch[0], ctx, regs)
-        regs.a0 = f(regs.a0, v)
-        return regs.a0
+        setattr(regs, reg, f(getattr(regs, reg), v))
+        return getattr(regs, reg)
     if kind == "if":
         cond = eval_node(ch[0], ctx, regs)
         branch = ch[1] if cond > 0.0 else ch[2]
         return _clamp(eval_node(branch, ctx, regs))
-    if kind == "setv1":
-        regs.v1 = _clamp(eval_node(ch[0], ctx, regs))
-        return regs.v1
-    if kind == "setv2":
-        regs.v2 = _clamp(eval_node(ch[0], ctx, regs))
-        return regs.v2
     raise ProgramSyntaxError(f"unknown function {kind!r}")
 
 
@@ -359,7 +354,7 @@ _SLOT = {name: i for i, name in enumerate((
 # IN kinds that write a register, or whose node count depends on the run.
 # An IN tree with none of them changes nothing that PRE or POST can see,
 # so compute_activities need not run it (a structural intron).
-_ACTIVE_IN = frozenset(_A0_WRITERS) | {"setv1", "setv2", "if"}
+_ACTIVE_IN = frozenset(_WRITERS) | {"if"}
 
 
 def _closure(node: Node, s: list[float], taken: list[int]):
@@ -392,13 +387,11 @@ def _closure(node: Node, s: list[float], taken: list[int]):
         return branch, 1 + n_cond
     # Each operand: its slot for a leaf, else its closure.
     ops = [g if c.children else _SLOT[c.kind] for c, (g, _) in zip(ch, built)]
-    f = _PURE.get(kind)
-    if f is None:
+    if kind in _WRITERS:
         (x,) = ops
-        # add sub mul div set write a0; setv1 and setv2 write v1 and v2 as
-        # `set` writes a0.  The child runs before the register is read.
-        f = _A0_WRITERS.get(kind, _A0_WRITERS["set"])
-        k = _SLOT.get(kind.removeprefix("set"), 0)
+        # The child runs before the register is read.
+        reg, f = _WRITERS[kind]
+        k = _SLOT[reg]
         if type(x) is int:
             def write():
                 s[k] = r = f(s[k], s[x])
@@ -409,6 +402,7 @@ def _closure(node: Node, s: list[float], taken: list[int]):
                 s[k] = r = f(s[k], v)
                 return r
         return write, count
+    f = _PURE[kind]
     if len(ops) == 1:
         (x,) = ops
         return (lambda: f(s[x])) if type(x) is int else (lambda: f(x())), count

@@ -139,6 +139,55 @@ class TestSolve:
         path.write_text("p cnf 1 2\n1 0\n-1 0\n")
         assert main(["solve", str(path)]) == EXIT_UNSAT
 
+    # Every line of `solve --model`, wall_time masked, for each outcome.
+    @pytest.mark.parametrize("text,code,lines", [
+        ("p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n", EXIT_SAT, [
+            "c file=f.cnf vars=3 clauses=3",
+            "c forced=0 preprocess=reduced",
+            "s SATISFIABLE",
+            "c conflicts=0 decisions=1 propagations=2",
+            "c wall_time=X",
+            "v -1 2 -3",
+            "v 0",
+        ]),
+        ("p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n", EXIT_UNSAT, [
+            "c file=f.cnf vars=2 clauses=4",
+            "c forced=0 preprocess=reduced",
+            "s UNSATISFIABLE",
+            "c conflicts=2 decisions=1 propagations=2",
+            "c wall_time=X",
+        ]),
+        ("p cnf 4 4\n1 0\n-1 2 0\n-2 3 4 0\n-3 -4 0\n", EXIT_SAT, [
+            "c file=f.cnf vars=4 clauses=4",
+            "c forced=2 preprocess=reduced",
+            "s SATISFIABLE",
+            "c conflicts=0 decisions=3 propagations=1",
+            "c wall_time=X",
+            "v 1 2 -3 4",
+            "v 0",
+        ]),
+        ("p cnf 3 2\n1 0\n-1 2 0\n", EXIT_SAT, [
+            "c file=f.cnf vars=3 clauses=2",
+            "c forced=2 preprocess=satisfied",
+            "s SATISFIABLE",
+            "c conflicts=0 decisions=0 propagations=0",
+            "v 1 2 -3",
+            "v 0",
+        ]),
+        ("p cnf 1 2\n1 0\n-1 0\n", EXIT_UNSAT, [
+            "c file=f.cnf vars=1 clauses=2",
+            "c forced=1 preprocess=unsatisfiable",
+            "s UNSATISFIABLE",
+            "c conflicts=0 decisions=0 propagations=0",
+        ]),
+    ], ids=["search-sat", "search-unsat", "search-sat-forced", "preprocess-sat",
+            "preprocess-unsat"])
+    def test_model_output_pinned(self, workdir, capsys, text, code, lines):
+        (workdir / "f.cnf").write_text(text)
+        assert main(["solve", "f.cnf", "--model"]) == code
+        out = capsys.readouterr().out
+        assert re.sub(r"wall_time=\d+\.\d{6}\n", "wall_time=X\n", out).splitlines() == lines
+
 
 class TestHistogram:
     def test_artifacts_and_determinism(self, bundled_file, workdir, capsys):

@@ -241,6 +241,32 @@ class TestMemo:
         assert memo.interpreter_runs == 4 * len(cases.cases)  # distinct texts
         assert memo.evaluations == len(self.TEXTS)
 
+    def test_population_counters_match_one_by_one(self):
+        cases = two_cases()
+        together, alone = EvalMemo(), EvalMemo()
+        population, singles = self.population(), self.population()
+        evaluate_population(population, cases, jobs=1, memo=together)
+        for ind in singles:
+            evaluate(ind, cases, alone)
+        counters = [(m.evaluations, m.interpreter_runs, m.searches, m.by_text, m.by_init)
+                    for m in (together, alone)]
+        assert counters[0] == counters[1]
+        assert [(i.fitness, i.per_case) for i in population] == [
+            (i.fitness, i.per_case) for i in singles]
+
+    def test_known_init_not_searched_again(self, monkeypatch):
+        cases = two_cases()
+        first = EvalMemo()
+        evaluate(Individual(parse_program("IN: add(lc)")), cases, first)
+        # Keep case 0's init only; add(lc*2) has the same normalized init.
+        memo = EvalMemo(by_init={k: v for k, v in first.by_init.items() if k[0] == 0})
+        calls = count_solves(monkeypatch)
+        evaluate_population([Individual(parse_program("IN: add(lc*2)"))], cases, jobs=1,
+                            memo=memo)
+        assert calls == [cases.cases[1].cnf]
+        assert memo.searches == 1
+        assert memo.interpreter_runs == len(cases.cases)
+
     def test_memo_does_not_outlive_a_run(self, monkeypatch):
         cases = two_cases()
         config = small_config(population_size=12, generations=2)
