@@ -525,34 +525,54 @@ def save_checkpoint(population, generation: int, rng: SplitMix64, cases: Fitness
     return "\n".join(lines) + "\n"
 
 
+def _header_int(fields: dict, key: str, bits: int | None = None) -> int:
+    """Header field `key`: decimal digits (below 2**bits, given bits)."""
+    text = fields.get(key, "missing")
+    if not (text.isascii() and text.isdigit()) or (bits and int(text) >> bits):
+        bound = f" below 2**{bits}" if bits else ""
+        raise ValueError(f"checkpoint {key} is {text}, expected an integer >= 0{bound}")
+    return int(text)
+
+
 def load_checkpoint(text: str, cases: FitnessCaseSet, population_size: int):
     """Inverse of save_checkpoint; returns (population, generation, rng).
 
-    Raises ValueError, naming the field, when the checkpoint was made for
-    another population size, solver configuration or set of fitness cases,
-    and when its individuals do not match its header.
+    Raises ValueError, naming the field or the line, when the checkpoint
+    was made for another population size, solver configuration or set of
+    fitness cases, when a field or line is malformed or out of range
+    (generation >= 0, rng_state < 2**64, a finite fitness >= 0), and when
+    its individuals do not match its header.
     """
     lines = text.splitlines()
     header = lines[0] if lines else ""
     if not header.startswith("# generation="):
         raise ValueError("not a population checkpoint")
-    fields = dict(part.split("=") for part in header[2:].split())
+    fields = dict(part.partition("=")[::2] for part in header[2:].split())
+    for key, value in fields.items():
+        if not value:
+            raise ValueError(f"checkpoint header part {key!r} has no value")
     for key, expected in _checkpoint_fields(population_size, cases).items():
         if fields.get(key) != expected:
             raise ValueError(
                 f"checkpoint {key} is {fields.get(key, 'missing')},"
                 f" this run has {expected}"
             )
-    generation = int(fields["generation"])
-    rng = SplitMix64(int(fields["rng_state"]))  # a stored state is below 2**64
+    generation = _header_int(fields, "generation")
+    rng = SplitMix64(_header_int(fields, "rng_state", bits=64))
     population = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         fit_text, tab, prog_text = line.partition("\t")
-        if not tab:
-            raise ValueError(f"checkpoint line {line_no}: expected fitness TAB program")
-        population.append(Individual(parse_program(prog_text), fitness=float(fit_text)))
+        try:
+            if not tab:
+                raise ValueError("expected fitness TAB program")
+            fit = float(fit_text)
+            if not (math.isfinite(fit) and fit >= 0.0):
+                raise ValueError(f"fitness {fit_text!r} is not a finite number >= 0")
+            population.append(Individual(parse_program(prog_text), fitness=fit))
+        except ValueError as exc:
+            raise ValueError(f"checkpoint line {line_no}: {exc}") from None
     if len(population) != population_size:
         raise ValueError(
             f"checkpoint holds {len(population)} individuals,"

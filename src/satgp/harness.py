@@ -252,6 +252,14 @@ def compare_reordered(
     return ReorderComparison(original=original, reordered=reordered, kappa_ratio=ratio)
 
 
+def percent_of_baseline(conflicts: int, baseline: int) -> float:
+    """conflicts as a percentage of baseline: 100.0 when both are 0, inf
+    when only the baseline is."""
+    if baseline:
+        return 100.0 * conflicts / baseline
+    return math.inf if conflicts else 100.0
+
+
 @dataclass
 class ValidationRow:
     problem: str
@@ -277,9 +285,7 @@ class ValidationReport:
             self.mean_percent = sum(r.percent for r in self.rows) / len(self.rows)
             base_total = sum(r.baseline_conflicts for r in self.rows)
             prog_total = sum(r.program_conflicts for r in self.rows)
-            self.total_percent = (
-                100.0 * prog_total / base_total if base_total else 100.0
-            )
+            self.total_percent = percent_of_baseline(prog_total, base_total)
         else:
             self.mean_percent = 100.0
             self.total_percent = 100.0
@@ -293,31 +299,25 @@ def run_validation(
     `problems` is an iterable of (name, raw Cnf).  Each problem is
     preprocessed, solved with the zero initialization and with the
     program's raw initialization (the solver normalizes it internally).
-    Problems decided by preprocessing contribute a 100% row, since no
-    search happens either way.  This is a measurement tool; it never
+    A row's percent is percent_of_baseline of the two conflict counts,
+    so a problem decided by preprocessing, where no search happens
+    either way, gives 100%.  This is a measurement tool; it never
     passes or fails.
     """
     rows = []
     for name, cnf in problems:
         reduced, verdict, _ = preprocess_bcp(cnf)
         if verdict != "reduced":
-            rows.append(
-                ValidationRow(name, 0, 0, 100.0, 0, 0, 0.0, 0.0)
-            )
+            rows.append(ValidationRow(name, 0, 0, 100.0, 0, 0, 0.0, 0.0))
             continue
         base = solve_with_baseline(reduced, config)
         prog_out = solve(reduced, compute_activities(program, reduced), config)
-        percent = (
-            100.0 * prog_out.conflicts / base.conflicts
-            if base.conflicts
-            else 100.0
-        )
         rows.append(
             ValidationRow(
                 problem=name,
                 baseline_conflicts=base.conflicts,
                 program_conflicts=prog_out.conflicts,
-                percent=percent,
+                percent=percent_of_baseline(prog_out.conflicts, base.conflicts),
                 baseline_decisions=base.decisions,
                 program_decisions=prog_out.decisions,
                 baseline_time=base.wall_time,

@@ -340,6 +340,44 @@ class TestEvolve:
         assert code == EXIT_ERROR
         assert "holds 2 individuals" in capsys.readouterr().err
 
+    # Each case rewrites one line of a valid checkpoint with re.sub.
+    @pytest.mark.parametrize("line,pattern,new,message", [
+        (1, r"^[^\t]*", "nan", "checkpoint line 2: fitness 'nan' is not a finite number >= 0"),
+        (1, r"^[^\t]*", "-4.5", "checkpoint line 2: fitness '-4.5' is not a finite number >= 0"),
+        (1, r"^[^\t]*", "inf", "checkpoint line 2: fitness 'inf' is not a finite number >= 0"),
+        (1, r"^[^\t]*", "x", "checkpoint line 2: could not convert string to float: 'x'"),
+        (2, r"\t.*", "\tIN: add(", "checkpoint line 3: unexpected end of expression"),
+        (0, r"generation=\d+", "generation=-3",
+         "checkpoint generation is -3, expected an integer >= 0"),
+        (0, r"generation=\d+", "generation=x",
+         "checkpoint generation is x, expected an integer >= 0"),
+        (0, r"rng_state=\d+", "rng_state=-5",
+         "checkpoint rng_state is -5, expected an integer >= 0 below 2**64"),
+        (0, r"rng_state=\d+", f"rng_state={2**64}",
+         f"checkpoint rng_state is {2**64}, expected an integer >= 0 below 2**64"),
+        (0, r" population_size", " junk population_size",
+         "checkpoint header part 'junk' has no value"),
+    ], ids=["fitness-nan", "fitness-negative", "fitness-inf", "fitness-text", "program", "generation-negative",
+            "generation-text", "rng-negative", "rng-too-large", "header-part"])
+    def test_malformed_checkpoint_refused(
+        self, bundled_file, workdir, capsys, line, pattern, new, message
+    ):
+        base = ["evolve", bundled_file, "--pop", "6", "--seed", "11"]
+        assert main(base + ["--gens", "1", "--out", str(workdir / "part")]) == 0
+        checkpoint = workdir / "part" / "checkpoint.txt"
+        lines = checkpoint.read_text().splitlines()
+        lines[line], found = re.subn(pattern, new, lines[line], count=1)
+        assert found == 1
+        checkpoint.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        resumed = workdir / "resumed"
+        code = main(base + ["--gens", "2", "--out", str(resumed), "--resume", str(checkpoint)])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not resumed.exists()
+
     def test_resume_without_generations_left_refused(self, bundled_file, workdir, capsys):
         base = ["evolve", bundled_file, "--pop", "6", "--seed", "11"]
         assert main(base + ["--gens", "2", "--out", str(workdir / "part")]) == 0

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from satgp import harness
@@ -166,6 +168,18 @@ class TestValidation:
         trivial = Cnf.from_lists(2, [[1], [2]])
         report = run_validation(preset_program("add_lc"), [("t", trivial)], CONFIG)
         assert report.rows[0].percent == 100.0
+
+    def test_conflicts_over_a_conflict_free_baseline_are_inf(self):
+        cnf = random_3sat(20, 60, 3)
+        report = run_validation(preset_program("sub_xp"), [("c", cnf)], SolverConfig())
+        row = report.rows[0]
+        assert (row.baseline_conflicts, row.program_conflicts) == (0, 3)
+        assert row.percent == report.total_percent == math.inf
+        trivial = Cnf.from_lists(2, [[1], [2]])
+        report = run_validation(preset_program("zero"), [("c", cnf), ("t", trivial)],
+                                SolverConfig())
+        assert [row.percent for row in report.rows] == [100.0, 100.0]
+        assert report.total_percent == 100.0
 
 
 class TestCsvArtifacts:
