@@ -281,14 +281,10 @@ class ValidationReport:
     total_percent: float = field(init=False)
 
     def __post_init__(self):
-        if self.rows:
-            self.mean_percent = sum(r.percent for r in self.rows) / len(self.rows)
-            base_total = sum(r.baseline_conflicts for r in self.rows)
-            prog_total = sum(r.program_conflicts for r in self.rows)
-            self.total_percent = percent_of_baseline(prog_total, base_total)
-        else:
-            self.mean_percent = 100.0
-            self.total_percent = 100.0
+        rows = self.rows
+        self.mean_percent = sum(r.percent for r in rows) / len(rows) if rows else 100.0
+        self.total_percent = percent_of_baseline(
+            sum(r.program_conflicts for r in rows), sum(r.baseline_conflicts for r in rows))
 
 
 def run_validation(
