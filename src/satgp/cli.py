@@ -450,8 +450,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (DimacsError, ProgramSyntaxError, ValueError, OSError, KeyError) as exc:
-        if isinstance(exc, OSError) and exc.filename is not None:
-            message = f"{exc.filename}: {exc.strerror}"
+        if isinstance(exc, OSError) and exc.strerror:
+            message = exc.strerror if exc.filename is None else f"{exc.filename}: {exc.strerror}"
         else:
             message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)

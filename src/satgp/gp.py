@@ -23,10 +23,10 @@ Each run_evolution call keeps an exact two-level evaluation memo
 (EvalMemo): a program text seen before skips the interpreter, and an
 initialization seen before on a case skips the solver.  It serves one
 run only (made there, or handed in fresh by a caller that reads its
-counters), so every run does the work of a fresh one.  The distinct new
-programs of the initial population are evaluated through
-harness.map_shared, inline or in a worker pool by the job count, and
-fill the memo; results never depend on the worker count.
+counters), so every run does the work of a fresh one.  Evaluation runs
+the interpreter on the distinct new programs, then one search per new
+distinct (case, init), each phase through harness.map_shared; results
+and counters never depend on the worker count.
 """
 
 from __future__ import annotations
@@ -147,10 +147,10 @@ class EvalMemo:
     by_text maps print_program text to per-case (conflicts, decisions),
     which skips the interpreter; by_init maps (case index, bytes of
     normalize(acts) as doubles) to (conflicts, decisions), which skips the
-    solver.  Both keys are exact: the solver config is fixed per case set
-    and the solver normalizes every init itself.  Ranks would not be: x**5
-    keeps the order of an init but changes its trace.  The counters tally
-    evaluate calls, interpreter runs and solver searches.
+    solver.  Both keys are exact: a by_init key is the input that was
+    searched, and the solver config is fixed per case set.  Ranks would
+    not be: x**5 keeps the order of an init but changes its trace.  The
+    counters tally evaluate calls, interpreter runs and solver searches.
     """
 
     by_text: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
@@ -160,24 +160,43 @@ class EvalMemo:
     searches: int = 0
 
 
-def _case_results(program: InitProgram, cases: FitnessCaseSet, memo: EvalMemo):
-    """[(by_init key, (conflicts, decisions))] for every fitness case.
-
-    The raw activities are handed to the solver, which normalizes them
-    itself; the key uses the same normalization.
-    """
-    results = []
+def _init_keys(cases: FitnessCaseSet, program: InitProgram) -> list[tuple[int, bytes]]:
+    """map_shared task: the program's by_init key on every fitness case."""
+    keys = []
     for i, case in enumerate(cases.cases):
-        acts = compute_activities(program, case.cnf, case.stats)
-        key = (i, struct.pack(f"{len(acts)}d", *normalize(acts)))
-        result = memo.by_init.get(key)
-        if result is None:
-            outcome = solve(case.cnf, acts, cases.solver_config)
-            result = memo.by_init[key] = (outcome.conflicts, outcome.decisions)
-            memo.searches += 1
-        results.append((key, result))
-    memo.interpreter_runs += len(results)
-    return results
+        acts = normalize(compute_activities(program, case.cnf, case.stats))
+        keys.append((i, struct.pack(f"{len(acts)}d", *acts)))
+    return keys
+
+
+def _search(cases: FitnessCaseSet, key: tuple[int, bytes]) -> tuple[int, int]:
+    """map_shared task: (conflicts, decisions) of the search from a key's
+    doubles, the raw activities' search, as the solver normalizes them."""
+    i, packed = key
+    case = cases.cases[i]
+    acts = list(struct.unpack(f"{len(packed) // 8}d", packed))
+    outcome = solve(case.cnf, acts, cases.solver_config)
+    return outcome.conflicts, outcome.decisions
+
+
+def _evaluate_texts(programs: dict, cases: FitnessCaseSet, memo: EvalMemo, jobs=1) -> None:
+    """Fill memo.by_text for the programs (text -> program) it lacks.
+
+    The one place that decides what is searched: the interpreter runs on
+    the new programs, then each (case, init) key that memo.by_init lacks
+    is searched once, in first-seen order.  Both phases go through
+    map_shared, so the memo and its counters do not depend on `jobs`.
+    """
+    texts = [text for text in programs if text not in memo.by_text]
+    if not texts:
+        return
+    keys = map_shared(_init_keys, cases, [programs[t] for t in texts], jobs)
+    new = list(dict.fromkeys(k for ks in keys for k in ks if k not in memo.by_init))
+    memo.by_init.update(zip(new, map_shared(_search, cases, new, jobs)))
+    for text, ks in zip(texts, keys):
+        memo.by_text[text] = [memo.by_init[k] for k in ks]
+    memo.interpreter_runs += len(texts) * len(cases.cases)
+    memo.searches += len(new)
 
 
 def evaluate(
@@ -191,23 +210,11 @@ def evaluate(
     if memo is None:
         memo = EvalMemo()
     text = print_program(ind.program)
-    per_case = memo.by_text.get(text)
-    if per_case is None:
-        results = _case_results(ind.program, cases, memo)
-        per_case = memo.by_text[text] = [result for _, result in results]
+    _evaluate_texts({text: ind.program}, cases, memo)
     memo.evaluations += 1
-    ind.per_case = per_case
-    ind.fitness = fitness(per_case, ind.node_count)
+    ind.per_case = memo.by_text[text]
+    ind.fitness = fitness(ind.per_case, ind.node_count)
     return ind
-
-
-def _evaluate_program(shared, program: InitProgram):
-    """map_shared task: the case results of one program, and the number of
-    searches they took.  shared is (cases, this worker's own memo)."""
-    cases, memo = shared
-    searches = memo.searches
-    results = _case_results(program, cases, memo)
-    return results, memo.searches - searches
 
 
 def evaluate_population(
@@ -215,23 +222,16 @@ def evaluate_population(
 ) -> None:
     """Evaluate all unevaluated individuals, optionally in parallel.
 
-    The distinct programs whose text the memo lacks go through map_shared
-    first, each worker memo starting from a copy of by_init, and fill the
-    memo.  Every individual then goes through `evaluate` in population
-    order, so the outcome is the same for any worker count.
+    The distinct programs whose text the memo lacks run the interpreter
+    through map_shared, then the distinct new (case, init) keys are
+    searched through it, and both fill the memo.  Every individual then
+    goes through `evaluate` in population order, so the outcome and the
+    memo's counters are the same for any worker count.
     """
     if memo is None:
         memo = EvalMemo()
     todo = [ind for ind in population if ind.fitness is None]
-    programs = {print_program(ind.program): ind.program for ind in todo}
-    texts = [text for text in programs if text not in memo.by_text]
-    shared = (cases, EvalMemo(by_init=dict(memo.by_init)))
-    done = map_shared(_evaluate_program, shared, [programs[t] for t in texts], jobs)
-    for text, (results, searches) in zip(texts, done):
-        memo.by_text[text] = [result for _, result in results]
-        memo.by_init.update(results)
-        memo.interpreter_runs += len(results)
-        memo.searches += searches
+    _evaluate_texts({print_program(i.program): i.program for i in todo}, cases, memo, jobs)
     for ind in todo:
         evaluate(ind, cases, memo)
 

@@ -293,8 +293,16 @@ class TestMemo:
             )
             assert any(best is ind for ind in population)
             runs.append((log, best.per_case, memo.evaluations, memo.interpreter_runs,
-                         [(i.fitness, i.per_case) for i in population], rng.state))
+                         memo.searches, [(i.fitness, i.per_case) for i in population],
+                         rng.state))
         assert runs[0] == runs[1]
+
+    def test_parallel_population_searches_each_init_once(self):
+        cases = two_cases()
+        memo = EvalMemo()
+        evaluate_population(self.population(), cases, jobs=2, memo=memo)
+        # lc, lc*2 and lc*4 share one normalized init per case.
+        assert memo.searches == 2 * len(cases.cases)
 
 
 class TestSelection:
