@@ -309,32 +309,6 @@ def write_mapping(mapping: ReorderMapping) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_mapping(text: str) -> ReorderMapping:
-    var_rows = []
-    clause_rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "v":
-            var_rows.append((int(parts[1]), int(parts[2]), parts[3] == "1"))
-        elif parts[0] == "c":
-            clause_rows.append((int(parts[1]), int(parts[2])))
-        else:
-            raise ValueError(f"bad mapping line {line!r}")
-    n = max((old for old, _, _ in var_rows), default=0)
-    var_map = [0] * (n + 1)
-    inverted = [False] * (n + 1)
-    for old, new, inv in var_rows:
-        var_map[old] = new
-        inverted[old] = inv
-    clause_map = [0] * len(clause_rows)
-    for old_idx, new_idx in clause_rows:
-        clause_map[new_idx] = old_idx
-    return ReorderMapping(var_map=var_map, inverted=inverted, clause_map=clause_map)
-
-
 def random_3sat(num_vars: int, num_clauses: int, seed: int) -> Cnf:
     """Generate a uniform random 3-SAT instance.
 

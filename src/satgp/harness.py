@@ -14,7 +14,10 @@ CSV artifacts start with the comment line
 except for wall-time columns.
 
 `map_shared` is the one `--jobs` path of the package: histogram samples
-and GP fitness evaluation both fan out through it.
+and GP fitness evaluation both fan out through it.  A call that needs one
+worker runs inline and never imports the process-pool machinery
+(`multiprocessing`, `concurrent.futures`); the first multi-worker call
+imports it.
 """
 
 from __future__ import annotations
@@ -24,9 +27,7 @@ import hashlib
 import io
 import json
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import partial
 
@@ -131,12 +132,19 @@ def map_shared(fn, shared, tasks, jobs: int = 1) -> list:
     spawned processes, and `shared` is pickled once per worker, for the
     pool's initializer, instead of into every task.  fn must be a
     module-level function; each worker gets its own copy of `shared`,
-    which lives as long as the pool.
+    which lives as long as the pool.  With one worker the tasks run inline
+    and the pool modules are not imported; the first multi-worker call
+    imports them.
     """
     tasks = list(tasks)
     workers = pool_size(jobs, len(tasks))
     if workers == 1:
         return [fn(shared, task) for task in tasks]
+    # Imported here, not at the top: they load about 30 modules that a
+    # serial run never uses.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     chunksize = max(1, len(tasks) // (4 * workers))
     with ProcessPoolExecutor(
         workers,

@@ -2,12 +2,15 @@
 
 These deliberately avoid the package's own code paths: satisfiability is
 decided by exhaustive truth-table enumeration (vectorized with numpy) and
-statistics are recounted with a plain dictionary double loop.
+statistics are recounted with a plain dictionary double loop.  The
+reorder sidecar, which the package only writes, is parsed back here.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from satgp.cnf import ReorderMapping
 
 MAX_ORACLE_VARS = 20
 
@@ -53,3 +56,30 @@ def recount_stats(cnf) -> tuple[dict, dict, dict]:
                 xn[-lit] += 1
     xc = {v: xn[v] + xp[v] for v in xn}
     return xn, xp, xc
+
+
+def read_mapping(text: str) -> ReorderMapping:
+    """Parse the sidecar text that cnf.write_mapping produces."""
+    var_rows = []
+    clause_rows = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "v":
+            var_rows.append((int(parts[1]), int(parts[2]), parts[3] == "1"))
+        elif parts[0] == "c":
+            clause_rows.append((int(parts[1]), int(parts[2])))
+        else:
+            raise ValueError(f"bad mapping line {line!r}")
+    n = max((old for old, _, _ in var_rows), default=0)
+    var_map = [0] * (n + 1)
+    inverted = [False] * (n + 1)
+    for old, new, inv in var_rows:
+        var_map[old] = new
+        inverted[old] = inv
+    clause_map = [0] * len(clause_rows)
+    for old_idx, new_idx in clause_rows:
+        clause_map[new_idx] = old_idx
+    return ReorderMapping(var_map=var_map, inverted=inverted, clause_map=clause_map)

@@ -9,13 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from oracles import model_satisfies
+from oracles import model_satisfies, read_mapping
 from satgp import cli, harness
 from satgp.cli import EXIT_ERROR, EXIT_SAT, EXIT_UNSAT, _solver_config, build_parser, main
 from satgp.cnf import (
     random_3sat,
     read_dimacs,
-    read_mapping,
     write_dimacs,
 )
 from satgp.harness import BUNDLED_3SAT, config_hash

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import recount_stats, truth_table_satisfiable
+from oracles import read_mapping, recount_stats, truth_table_satisfiable
 from conftest import make_random_cnf
 from satgp.cnf import (
     Cnf,
@@ -10,7 +10,6 @@ from satgp.cnf import (
     parse_dimacs,
     preprocess_bcp,
     random_3sat,
-    read_mapping,
     reorder,
     write_dimacs,
     write_mapping,

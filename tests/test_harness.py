@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +120,32 @@ class TestWorkerPool:
         assert map_shared(lambda shared, task: seen.append(task) or shared + task,
                           10, [3, 1, 2], jobs=1) == [13, 11, 12]
         assert seen == [3, 1, 2]
+
+    def test_pool_modules_imported_only_when_a_pool_starts(self):
+        # A fresh interpreter: this process may have loaded them already.
+        script = textwrap.dedent("""
+            import operator, os, sys
+            import satgp, satgp.cli
+            from satgp.cnf import preprocess_bcp
+            from satgp.harness import bundled_cnf, map_shared, run_histogram
+            from satgp.solver import SolverConfig
+
+            reduced, _, _ = preprocess_bcp(bundled_cnf())
+            run_histogram(reduced, 3, 0.0, 1.0, SolverConfig(), 1)
+            pool = {"multiprocessing", "concurrent.futures"}
+            assert not pool & set(sys.modules), sorted(pool & set(sys.modules))
+            if (os.cpu_count() or 1) >= 2:
+                assert map_shared(operator.add, 10, [3, 1, 2], jobs=2) == [13, 11, 12]
+                assert pool <= set(sys.modules)
+        """)
+        src = str(Path(harness.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestCompareReordered:
