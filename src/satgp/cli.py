@@ -29,7 +29,6 @@ from pathlib import Path
 
 from . import __version__
 from .cnf import (
-    DimacsError,
     check_model,
     preprocess_bcp,
     random_3sat,
@@ -52,6 +51,7 @@ from .harness import (
     config_hash,
     csv_text,
     histogram_csv,
+    percent_bin,
     run_histogram,
     run_validation,
     samples_csv,
@@ -60,7 +60,6 @@ from .harness import (
 from .lang import (
     InitProgram,
     PRESETS,
-    ProgramSyntaxError,
     compute_activities,
     parse_program,
     preset_program,
@@ -220,12 +219,8 @@ def cmd_histogram(args) -> int:
     config = _solver_config(args)
     lo, hi = _parse_range(args.range)
     check_histogram_args(args.samples, lo, hi)
-    cnf = read_dimacs(args.file)
-    reduced, verdict, _ = preprocess_bcp(cnf)
-    if verdict != "reduced":
-        raise ValueError(f"problem is {verdict} after preprocessing")
     report = run_histogram(
-        reduced,
+        read_dimacs(args.file),
         args.samples,
         lo,
         hi,
@@ -240,9 +235,9 @@ def cmd_histogram(args) -> int:
     print(
         f"baseline conflicts k0={k0}; {report.samples} samples in"
         f" [{report.lo}, {report.hi}); best {report.min_conflicts}"
-        f" ({100 * report.min_conflicts / k0:.0f}%),"
+        f" ({percent_bin(report.min_conflicts, k0)}%),"
         f" worst {report.max_conflicts}"
-        f" ({100 * report.max_conflicts / k0:.0f}%)"
+        f" ({percent_bin(report.max_conflicts, k0)}%)"
     )
     print(f"artifacts written to {out_dir}")
     return 0
@@ -449,7 +444,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DimacsError, ProgramSyntaxError, ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         if isinstance(exc, OSError) and exc.strerror:
             message = exc.strerror if exc.filename is None else f"{exc.filename}: {exc.strerror}"
         else:

@@ -9,7 +9,7 @@ Cnf objects are safe to share between threads and processes.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .rng import SplitMix64
 
@@ -238,35 +238,13 @@ class ReorderMapping:
     var_map: list[int]
     inverted: list[bool]
     clause_map: list[int]
-    inverse_var_map: list[int] = field(init=False)
-
-    def __post_init__(self):
-        inv = [0] * len(self.var_map)
-        for old, new in enumerate(self.var_map):
-            if old == 0:
-                continue
-            inv[new] = old
-        self.inverse_var_map = inv
 
     def map_literal(self, lit: int) -> int:
+        """The twin's literal for literal lit of the original formula."""
         old = abs(lit)
         new = self.var_map[old]
         positive = (lit > 0) != self.inverted[old]
         return new if positive else -new
-
-    def unmap_literal(self, lit: int) -> int:
-        new = abs(lit)
-        old = self.inverse_var_map[new]
-        positive = (lit > 0) != self.inverted[old]
-        return old if positive else -old
-
-    def translate_model_back(self, model: dict[int, bool]) -> dict[int, bool]:
-        """Convert a model of the reordered CNF into one of the original."""
-        out = {}
-        for old in range(1, len(self.var_map)):
-            val = model[self.var_map[old]]
-            out[old] = (not val) if self.inverted[old] else val
-        return out
 
 
 def reorder(cnf: Cnf, seed: int) -> tuple[Cnf, ReorderMapping]:
@@ -274,8 +252,9 @@ def reorder(cnf: Cnf, seed: int) -> tuple[Cnf, ReorderMapping]:
 
     Deterministic for a given seed (SplitMix64 stream: variable
     permutation, then inversion flags, then clause permutation); every
-    integer is a seed.  Satisfiability is preserved; the mapping
-    translates results back.
+    integer is a seed.  Satisfiability is preserved.  The mapping gives
+    each original literal's twin (map_literal) and is what write_mapping
+    writes as the .map sidecar.
     """
     n = cnf.num_vars
     rng = SplitMix64(seed)

@@ -54,11 +54,10 @@ def config_hash(config: SolverConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def round_half_away(x: float) -> int:
-    """Round to nearest integer, halves away from zero."""
-    if x >= 0:
-        return int(math.floor(x + 0.5))
-    return -int(math.floor(-x + 0.5))
+def percent_bin(conflicts: int, k0: int) -> int:
+    """100 * conflicts / k0 rounded to the nearest integer, halves up, in
+    exact integers: the histogram bin of a run with that many conflicts."""
+    return (200 * conflicts + k0) // (2 * k0)
 
 
 @dataclass
@@ -100,8 +99,10 @@ def random_init(num_vars: int, seed: int, lo: float, hi: float) -> list[float]:
 def replay_sample(
     cnf: Cnf, seed: int, lo: float, hi: float, config: SolverConfig
 ) -> SolveOutcome:
-    """Re-run one histogram sample from its stored seed."""
-    return solve(cnf, random_init(cnf.num_vars, seed, lo, hi), config)
+    """Re-run one run_histogram sample of the raw formula cnf from its
+    stored seed: the search runs on preprocess_bcp's reduced formula."""
+    reduced = preprocess_bcp(cnf)[0]
+    return solve(reduced, random_init(reduced.num_vars, seed, lo, hi), config)
 
 
 def pool_size(jobs: int, tasks: int) -> int:
@@ -182,15 +183,20 @@ def run_histogram(
     problem: str = "",
     jobs: int = 1,
 ) -> HistogramReport:
-    """Random-initialization histogram for one preprocessed problem.
+    """Random-initialization histogram for one raw problem.
 
+    Every search runs on the formula preprocess_bcp reduces cnf to.
     Sample i draws its activities from child seed i of master_seed (see
-    rng.spawn_seeds), so any sample can be replayed later.  Raises
-    ValueError, before any search, for arguments check_histogram_args
-    refuses, and when the baseline solves without conflicts, because
-    percentages of zero are undefined.
+    rng.spawn_seeds), so replay_sample can re-run any sample later; a
+    sample's bin is percent_bin of its conflicts.  Raises ValueError,
+    before any search, for arguments check_histogram_args refuses and for
+    a formula that preprocessing alone decides, and when the baseline
+    solves without conflicts, because percentages of zero are undefined.
     """
     check_histogram_args(samples, lo, hi)
+    cnf, verdict, _ = preprocess_bcp(cnf)
+    if verdict != "reduced":
+        raise ValueError(f"problem is {verdict} after preprocessing")
     baseline = solve_with_baseline(cnf, config)
     if baseline.conflicts == 0:
         raise ValueError("baseline has no conflicts; histogram undefined")
@@ -201,7 +207,7 @@ def run_histogram(
     bins: dict[int, int] = {}
     rows: list[SampleRow] = []
     for i, (seed, (conflicts, decisions)) in enumerate(zip(seeds, results)):
-        percent = round_half_away(100.0 * conflicts / baseline.conflicts)
+        percent = percent_bin(conflicts, baseline.conflicts)
         bins[percent] = bins.get(percent, 0) + 1
         rows.append(SampleRow(i, seed, conflicts, decisions, percent))
 
@@ -239,18 +245,14 @@ def compare_reordered(
     master_seed: int,
     problem: str = "",
 ) -> ReorderComparison:
-    """Histogram the original and a reordered twin of the same raw CNF,
-    with uniform activities in [0, 1).
+    """run_histogram of the raw CNF and of its reordered twin, with
+    uniform activities in [0, 1).
 
-    Takes the unpreprocessed formula; both variants are preprocessed here,
-    before any search, so the comparison mirrors the solve pipeline.
+    Reordering only renames variables, flips polarities and permutes
+    clauses, so preprocessing decides the twin exactly when it decides
+    cnf, and run_histogram refuses such a formula before any search.
     """
-    twins = []
-    for twin in (cnf, reorder(cnf, reorder_seed)[0]):
-        reduced, verdict, _ = preprocess_bcp(twin)
-        if verdict != "reduced":
-            raise ValueError("problem is decided by preprocessing; nothing to compare")
-        twins.append(reduced)
+    twins = (cnf, reorder(cnf, reorder_seed)[0])
     names = (problem, f"{problem}.reordered" if problem else "reordered")
     original, reordered = (
         run_histogram(twin, samples, 0.0, 1.0, config, master_seed, problem=name)

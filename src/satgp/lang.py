@@ -766,9 +766,6 @@ PRESETS = {
 def preset_program(name: str) -> InitProgram:
     """Look up a built-in program by name ('zero', 'add_lc', 'sub_xp',
     'precursor')."""
-    try:
-        return parse_program(PRESETS[name])
-    except KeyError:
-        raise KeyError(
-            f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
-        ) from None
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
+    return parse_program(PRESETS[name])

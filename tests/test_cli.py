@@ -19,7 +19,7 @@ from satgp.cnf import (
 )
 from satgp.harness import BUNDLED_3SAT, config_hash
 from satgp.lang import MAX_NESTING
-from satgp.solver import SolverConfig
+from satgp.solver import SolveOutcome, SolverConfig
 
 
 @pytest.fixture
@@ -90,6 +90,15 @@ class TestSolve:
         assert capsys.readouterr().err == "error: no_such_file.cnf: No such file or directory\n"
         assert main(["validate", "preset:add_lc", "no_such_file.cnf"]) == EXIT_ERROR
         assert capsys.readouterr().err == "error: no_such_file.cnf: No such file or directory\n"
+
+    def test_internal_key_error_propagates(self, sat_file, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "solve", broken)
+        with pytest.raises(KeyError, match="internal"):
+            main(["solve", sat_file])
+        assert capsys.readouterr().err == ""
 
     def test_os_error_without_filename_reported_by_reason(self, sat_file, capsys, monkeypatch):
         class ClosedPipe(io.StringIO):
@@ -263,6 +272,22 @@ class TestHistogram:
         code = main(["histogram", bundled_file, *flag, "--out", str(workdir / "h")])
         assert code == EXIT_ERROR
         assert "hi - lo must be finite" in capsys.readouterr().err
+
+    def test_summary_percents_are_the_bins(self, bundled_file, workdir, capsys, monkeypatch):
+        # With k0 = 8, 5 and 13 conflicts are 62.5% and 162.5%: bins 63 and 163.
+        report = harness.HistogramReport(
+            problem="bundled.cnf", samples=2, lo=0.0, hi=1.0, master_seed=0,
+            config_hash=config_hash(SolverConfig()),
+            baseline=SolveOutcome("unsat", 8, 10, 30, None, 0.0), bins={63: 1, 163: 1},
+            rows=[harness.SampleRow(0, 11, 5, 9, 63), harness.SampleRow(1, 12, 13, 20, 163)],
+            min_conflicts=5, min_seed=11, max_conflicts=13, max_seed=12,
+        )
+        monkeypatch.setattr(cli, "run_histogram", lambda *args, **kwargs: report)
+        assert main(["histogram", bundled_file, "--samples", "2",
+                     "--out", str(workdir / "h")]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "baseline conflicts k0=8; 2 samples in [0.0, 1.0); best 5 (63%), worst 13 (163%)")
+        assert read_lines(workdir / "h" / "histogram.csv")[2:] == ["63,1", "163,1"]
 
     def test_jobs_flag_does_not_change_artifacts(self, bundled_file, workdir, capsys):
         for name, jobs in (("j1", "1"), ("j2", "2")):
@@ -472,8 +497,8 @@ class TestReorderCommand:
         mapping = read_mapping((workdir / "r" / "bundled.map").read_text())
         original = read_dimacs(bundled_file)
         for new_idx, clause in enumerate(reordered.clauses):
-            recovered = tuple(mapping.unmap_literal(l) for l in clause)
-            assert recovered == original.clauses[mapping.clause_map[new_idx]]
+            source = original.clauses[mapping.clause_map[new_idx]]
+            assert tuple(mapping.map_literal(l) for l in source) == clause
 
     def test_reorder_solve_map_back(self, workdir, capsys):
         cnf = random_3sat(18, 60, seed=77)  # satisfiable at this ratio
@@ -496,7 +521,8 @@ class TestReorderCommand:
         model = dict(out.model)
         for lit in forced:
             model[abs(lit)] = lit > 0
-        back = mapping.translate_model_back(model)
+        back = {old: model[mapping.var_map[old]] != mapping.inverted[old]
+                for old in range(1, cnf.num_vars + 1)}
         assert model_satisfies(cnf, back)
 
 
@@ -520,7 +546,8 @@ class TestValidateCommand:
     def test_unknown_preset(self, bundled_file, workdir, capsys):
         assert main(["validate", "preset:nope", bundled_file,
                      "--out", str(workdir / "v")]) == EXIT_ERROR
-        assert "unknown preset" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: unknown preset 'nope'; available: add_lc, precursor, sub_xp, zero\n")
 
     def test_too_deeply_nested_program(self, bundled_file, workdir, capsys):
         prog = workdir / "deep.txt"

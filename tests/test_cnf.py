@@ -235,17 +235,20 @@ class TestReorder:
         assert out == reorder(cnf, 2**64 - 1)[0]  # seeds are taken mod 2**64
         for new_idx, clause in enumerate(out.clauses):
             original = cnf.clauses[mapping.clause_map[new_idx]]
-            assert tuple(mapping.unmap_literal(l) for l in clause) == original
+            assert tuple(mapping.map_literal(l) for l in original) == clause
 
-    def test_inverse_mapping_recovers_input(self):
+    def test_mapping_is_a_bijection_taking_each_clause_to_its_twin(self):
         rng = SplitMix64(31)
         for trial in range(30):
             cnf = make_random_cnf(rng, 2 + rng.randrange(10), 1 + rng.randrange(20))
             out, mapping = reorder(cnf, trial)
+            assert sorted(mapping.var_map) == list(range(cnf.num_vars + 1))
+            assert sorted(mapping.clause_map) == list(range(len(cnf.clauses)))
+            assert len(mapping.inverted) == cnf.num_vars + 1
             for new_idx, clause in enumerate(out.clauses):
                 original = cnf.clauses[mapping.clause_map[new_idx]]
-                recovered = tuple(mapping.unmap_literal(l) for l in clause)
-                assert recovered == original
+                assert tuple(mapping.map_literal(l) for l in original) == clause
+                assert [mapping.map_literal(-l) for l in original] == [-l for l in clause]
 
     def test_preserves_shape(self):
         cnf = random_3sat(12, 30, seed=3)

@@ -6,6 +6,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from satgp import harness
 from satgp.cnf import Cnf, preprocess_bcp, random_3sat
@@ -15,10 +16,10 @@ from satgp.harness import (
     config_hash,
     histogram_csv,
     map_shared,
+    percent_bin,
     pool_size,
     random_init,
     replay_sample,
-    round_half_away,
     run_histogram,
     run_validation,
     samples_csv,
@@ -38,13 +39,17 @@ def reduced_bundled():
     return reduced
 
 
-class TestRounding:
-    @pytest.mark.parametrize(
-        "value,expected",
-        [(0.4, 0), (0.5, 1), (1.5, 2), (2.5, 3), (99.5, 100), (-0.5, -1), (-1.5, -2)],
-    )
-    def test_half_away_from_zero(self, value, expected):
-        assert round_half_away(value) == expected
+class TestPercentBin:
+    # Over these ranges 100 * c / k0 is at least 1 / (2 * k0) from a half
+    # unless it is one, far more than the float error, so the float
+    # formula the bins used before is an exact oracle.
+    @given(st.integers(0, 10**10), st.integers(1, 10**9))
+    @example(5, 8)
+    @example(13, 8)
+    @example(1, 200)
+    @example(0, 1)
+    def test_matches_float_rounding_halves_up(self, conflicts, k0):
+        assert percent_bin(conflicts, k0) == math.floor(100.0 * conflicts / k0 + 0.5)
 
 
 class TestHistogram:
@@ -64,7 +69,7 @@ class TestHistogram:
         assert len(report.bins) >= 2
 
     def test_replay_best_and_worst(self):
-        cnf = reduced_bundled()
+        cnf = bundled_cnf()
         report = run_histogram(cnf, 20, 0.0, 1.0, CONFIG, master_seed=7)
         best = replay_sample(cnf, report.min_seed, 0.0, 1.0, CONFIG)
         worst = replay_sample(cnf, report.max_seed, 0.0, 1.0, CONFIG)
@@ -95,6 +100,40 @@ class TestHistogram:
         trivial = Cnf.from_lists(2, [[1, 2]])
         with pytest.raises(ValueError, match="baseline has no conflicts"):
             run_histogram(trivial, 5, 0.0, 1.0, CONFIG, master_seed=1)
+
+    def test_raw_formula_is_preprocessed_first(self):
+        bundled = bundled_cnf()
+        raw = Cnf(bundled.num_vars, ((1,), *bundled.clauses))
+        reduced, verdict, forced = preprocess_bcp(raw)
+        assert verdict == "reduced" and forced and reduced != raw
+        a = run_histogram(raw, 10, 0.0, 1.0, CONFIG, master_seed=10)
+        b = run_histogram(reduced, 10, 0.0, 1.0, CONFIG, master_seed=10)
+        assert a.baseline.conflicts > 0
+        assert (a.baseline.conflicts, a.baseline.decisions) == (
+            b.baseline.conflicts, b.baseline.decisions)
+        assert histogram_csv(a) == histogram_csv(b)
+        assert samples_csv(a) == samples_csv(b)
+        for seed, conflicts in ((a.min_seed, a.min_conflicts), (a.max_seed, a.max_conflicts)):
+            assert replay_sample(raw, seed, 0.0, 1.0, CONFIG).conflicts == conflicts
+
+    @pytest.mark.parametrize("clauses,verdict", [
+        ([[1], [-1, 2]], "satisfied"),
+        ([[1], [-1]], "unsatisfiable"),
+    ])
+    @pytest.mark.parametrize("run", [
+        lambda cnf: run_histogram(cnf, 5, 0.0, 1.0, CONFIG, master_seed=1),
+        lambda cnf: compare_reordered(cnf, 1, 5, CONFIG, master_seed=1),
+    ], ids=["run_histogram", "compare_reordered"])
+    def test_decided_by_preprocessing_refused_before_search(
+        self, monkeypatch, clauses, verdict, run
+    ):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched a formula that preprocessing decides")
+
+        monkeypatch.setattr(harness, "solve", no_search)
+        monkeypatch.setattr(harness, "solve_with_baseline", no_search)
+        with pytest.raises(ValueError, match=f"^problem is {verdict} after preprocessing$"):
+            run(Cnf.from_lists(2, clauses))
 
     def test_parallel_matches_sequential(self):
         cnf = reduced_bundled()
@@ -159,7 +198,7 @@ class TestCompareReordered:
 
     def test_trivial_problem_rejected(self):
         trivial = Cnf.from_lists(3, [[1], [2], [3]])
-        with pytest.raises(ValueError, match="preprocessing"):
+        with pytest.raises(ValueError, match="problem is satisfied after preprocessing"):
             compare_reordered(trivial, 1, 3, CONFIG, master_seed=13)
 
 
@@ -227,7 +266,7 @@ class TestCsvArtifacts:
         assert sum(counts) == 12
 
     def test_samples_csv_replayable(self):
-        cnf = reduced_bundled()
+        cnf = bundled_cnf()
         report = run_histogram(cnf, 6, 0.0, 1.0, CONFIG, master_seed=22)
         lines = samples_csv(report).strip().splitlines()
         assert lines[1] == "sample_id,seed,conflicts,decisions,percent"

@@ -749,7 +749,7 @@ class TestPresets:
         assert all(a < 0 for a in acts)
 
     def test_unknown_preset(self):
-        with pytest.raises(KeyError, match="unknown preset"):
+        with pytest.raises(ValueError, match="unknown preset 'nope'; available: "):
             preset_program("nope")
 
 
