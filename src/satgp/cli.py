@@ -301,7 +301,7 @@ def cmd_evolve(args) -> int:
         f"{memo.evaluations} evaluations, {memo.interpreter_runs}"
         f" interpreter runs, {memo.searches} searches"
     )
-    print(f"best fitness {best.fitness!r} with {best.node_count} nodes:")
+    print(f"best fitness {best.fitness!r} with {best.program.node_count} nodes:")
     print(f"  {print_program(best.program)}")
     print(f"artifacts written to {out_dir}")
     return 0

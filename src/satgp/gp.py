@@ -23,10 +23,10 @@ Each run_evolution call keeps an exact two-level evaluation memo
 (EvalMemo): a program text seen before skips the interpreter, and an
 initialization seen before on a case skips the solver.  It serves one
 run only (made there, or handed in fresh by a caller that reads its
-counters), so every run does the work of a fresh one.  Evaluation runs
-the interpreter on the distinct new programs, then one search per new
-distinct (case, init), each phase through harness.map_shared; results
-and counters never depend on the worker count.
+counters), so every run does the work of a fresh one.  All fitness goes
+through evaluate_population, which runs the interpreter on the new
+programs, then one search per new (case, init), each phase through
+harness.map_shared; results and counters never depend on the worker count.
 """
 
 from __future__ import annotations
@@ -85,10 +85,6 @@ class Individual:
     fitness: float | None = None
     per_case: list[tuple[int, int]] | None = None  # (conflicts, decisions)
     origin: str = ""  # e.g. "full-4", "grow-2", "crossover", "copy"
-
-    @property
-    def node_count(self) -> int:
-        return self.program.node_count
 
 
 @dataclass
@@ -150,7 +146,7 @@ class EvalMemo:
     solver.  Both keys are exact: a by_init key is the input that was
     searched, and the solver config is fixed per case set.  Ranks would
     not be: x**5 keeps the order of an init but changes its trace.  The
-    counters tally evaluate calls, interpreter runs and solver searches.
+    counters tally evaluated individuals, interpreter runs and searches.
     """
 
     by_text: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
@@ -179,61 +175,45 @@ def _search(cases: FitnessCaseSet, key: tuple[int, bytes]) -> tuple[int, int]:
     return outcome.conflicts, outcome.decisions
 
 
-def _evaluate_texts(programs: dict, cases: FitnessCaseSet, memo: EvalMemo, jobs=1) -> None:
-    """Fill memo.by_text for the programs (text -> program) it lacks.
-
-    The one place that decides what is searched: the interpreter runs on
-    the new programs, then each (case, init) key that memo.by_init lacks
-    is searched once, in first-seen order.  Both phases go through
-    map_shared, so the memo and its counters do not depend on `jobs`.
-    """
-    texts = [text for text in programs if text not in memo.by_text]
-    if not texts:
-        return
-    keys = map_shared(_init_keys, cases, [programs[t] for t in texts], jobs)
-    new = list(dict.fromkeys(k for ks in keys for k in ks if k not in memo.by_init))
-    memo.by_init.update(zip(new, map_shared(_search, cases, new, jobs)))
-    for text, ks in zip(texts, keys):
-        memo.by_text[text] = [memo.by_init[k] for k in ks]
-    memo.interpreter_runs += len(texts) * len(cases.cases)
-    memo.searches += len(new)
-
-
 def evaluate(
     ind: Individual, cases: FitnessCaseSet, memo: EvalMemo | None = None
 ) -> Individual:
-    """Solve every fitness case with the individual's initialization.
-
-    Answers from `memo` what it already holds and adds what it learns;
-    without one, a fresh memo serves this call only.
-    """
-    if memo is None:
-        memo = EvalMemo()
-    text = print_program(ind.program)
-    _evaluate_texts({text: ind.program}, cases, memo)
-    memo.evaluations += 1
-    ind.per_case = memo.by_text[text]
-    ind.fitness = fitness(ind.per_case, ind.node_count)
+    """Solve every fitness case with the individual's initialization:
+    evaluate_population of [ind] after clearing its fitness, answered by
+    `memo` where it can (without one, a fresh memo serves this call)."""
+    ind.fitness = None
+    evaluate_population([ind], cases, memo=memo)
     return ind
 
 
 def evaluate_population(
     population, cases: FitnessCaseSet, jobs: int = 1, memo: EvalMemo | None = None
 ) -> None:
-    """Evaluate all unevaluated individuals, optionally in parallel.
+    """Set per_case and fitness on every individual whose fitness is None;
+    one that has a fitness (a resumed one) is left alone and not counted.
 
-    The distinct programs whose text the memo lacks run the interpreter
-    through map_shared, then the distinct new (case, init) keys are
-    searched through it, and both fill the memo.  Every individual then
-    goes through `evaluate` in population order, so the outcome and the
-    memo's counters are the same for any worker count.
+    The one place that decides what is searched: the interpreter runs on
+    the distinct programs whose text the memo lacks, then each (case,
+    init) key memo.by_init lacks is searched once, in first-seen order.
+    Both phases go through map_shared, so nothing depends on `jobs`.
     """
     if memo is None:
         memo = EvalMemo()
     todo = [ind for ind in population if ind.fitness is None]
-    _evaluate_texts({print_program(i.program): i.program for i in todo}, cases, memo, jobs)
-    for ind in todo:
-        evaluate(ind, cases, memo)
+    texts = [print_program(ind.program) for ind in todo]
+    programs = {t: ind.program for t, ind in zip(texts, todo) if t not in memo.by_text}
+    if programs:
+        keys = map_shared(_init_keys, cases, list(programs.values()), jobs)
+        new = list(dict.fromkeys(k for ks in keys for k in ks if k not in memo.by_init))
+        memo.by_init.update(zip(new, map_shared(_search, cases, new, jobs)))
+        for text, ks in zip(programs, keys):
+            memo.by_text[text] = [memo.by_init[k] for k in ks]
+        memo.interpreter_runs += len(programs) * len(cases.cases)
+        memo.searches += len(new)
+    memo.evaluations += len(todo)
+    for ind, text in zip(todo, texts):
+        ind.per_case = memo.by_text[text]
+        ind.fitness = fitness(ind.per_case, ind.program.node_count)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +421,7 @@ def _record(generation: int, population) -> GenerationRecord:
         generation=generation,
         best_fitness=best.fitness,
         mean_fitness=mean,
-        best_nodes=best.node_count,
+        best_nodes=best.program.node_count,
         best_program=print_program(best.program),
     )
 

@@ -96,12 +96,21 @@ def random_init(num_vars: int, seed: int, lo: float, hi: float) -> list[float]:
     return [gen.uniform(lo, hi) for _ in range(num_vars)]
 
 
+def _searched_formula(cnf: Cnf) -> Cnf:
+    """preprocess_bcp's reduction of raw cnf; ValueError if that decides it."""
+    reduced, verdict, _ = preprocess_bcp(cnf)
+    if verdict != "reduced":
+        raise ValueError(f"problem is {verdict} after preprocessing")
+    return reduced
+
+
 def replay_sample(
     cnf: Cnf, seed: int, lo: float, hi: float, config: SolverConfig
 ) -> SolveOutcome:
     """Re-run one run_histogram sample of the raw formula cnf from its
-    stored seed: the search runs on preprocess_bcp's reduced formula."""
-    reduced = preprocess_bcp(cnf)[0]
+    stored seed: the search runs on preprocess_bcp's reduced formula, and
+    a formula that run_histogram refuses is refused the same way."""
+    reduced = _searched_formula(cnf)
     return solve(reduced, random_init(reduced.num_vars, seed, lo, hi), config)
 
 
@@ -194,9 +203,7 @@ def run_histogram(
     solves without conflicts, because percentages of zero are undefined.
     """
     check_histogram_args(samples, lo, hi)
-    cnf, verdict, _ = preprocess_bcp(cnf)
-    if verdict != "reduced":
-        raise ValueError(f"problem is {verdict} after preprocessing")
+    cnf = _searched_formula(cnf)
     baseline = solve_with_baseline(cnf, config)
     if baseline.conflicts == 0:
         raise ValueError("baseline has no conflicts; histogram undefined")

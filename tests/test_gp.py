@@ -297,6 +297,40 @@ class TestMemo:
                          rng.state))
         assert runs[0] == runs[1]
 
+    def test_evaluated_individual_left_untouched(self, monkeypatch):
+        # The --resume path: a checkpointed individual keeps its fitness.
+        cases = two_cases()
+        resumed = Individual(parse_program("IN: sub(xp)"), fitness=7.5)
+        fresh = Individual(parse_program("IN: add(lc)"))
+        interpreted = []
+
+        def counted(program, cnf, stats):
+            interpreted.append(print_program(program))
+            return compute_activities(program, cnf, stats)
+
+        monkeypatch.setattr(gp, "compute_activities", counted)
+        calls = count_solves(monkeypatch)
+        memo = EvalMemo()
+        evaluate_population([resumed, fresh], cases, memo=memo)
+        assert (resumed.fitness, resumed.per_case) == (7.5, None)
+        assert interpreted == ["IN: add(lc)"] * len(cases.cases)
+        assert len(calls) == memo.searches == len(cases.cases)
+        assert (memo.evaluations, memo.interpreter_runs) == (1, len(cases.cases))
+        assert fresh.fitness is not None
+
+    def test_evaluate_again_answers_from_the_memo(self, monkeypatch):
+        cases = two_cases()
+        memo = EvalMemo()
+        ind = evaluate(Individual(parse_program("IN: add(lc)")), cases, memo)
+        scored = (ind.fitness, ind.per_case)
+        searches = memo.searches
+        ind.fitness = 0.0
+        calls = count_solves(monkeypatch)
+        assert evaluate(ind, cases, memo) is ind
+        assert (ind.fitness, ind.per_case) == scored
+        assert calls == [] and memo.searches == searches
+        assert memo.evaluations == 2
+
     def test_parallel_population_searches_each_init_once(self):
         cases = two_cases()
         memo = EvalMemo()

@@ -123,7 +123,8 @@ class TestHistogram:
     @pytest.mark.parametrize("run", [
         lambda cnf: run_histogram(cnf, 5, 0.0, 1.0, CONFIG, master_seed=1),
         lambda cnf: compare_reordered(cnf, 1, 5, CONFIG, master_seed=1),
-    ], ids=["run_histogram", "compare_reordered"])
+        lambda cnf: replay_sample(cnf, 1, 0.0, 1.0, CONFIG),
+    ], ids=["run_histogram", "compare_reordered", "replay_sample"])
     def test_decided_by_preprocessing_refused_before_search(
         self, monkeypatch, clauses, verdict, run
     ):
