@@ -24,8 +24,8 @@ Each run_evolution call keeps an exact two-level evaluation memo
 initialization seen before on a case skips the solver.  It serves one
 run only (made there, or handed in fresh by a caller that reads its
 counters), so every run does the work of a fresh one.  All fitness goes
-through evaluate_population, which runs the interpreter on the new
-programs, then one search per new (case, init), each phase through
+through evaluate, which scores a population: it runs the interpreter on
+the new programs, then one search per new (case, init), each phase through
 harness.map_shared; results and counters never depend on the worker count.
 """
 
@@ -138,7 +138,7 @@ def fitness(per_case, node_count: int) -> float:
 
 @dataclass
 class EvalMemo:
-    """Exact evaluation memo for one set of fitness cases.
+    """Exact evaluation memo of evaluate for one set of fitness cases.
 
     by_text maps print_program text to per-case (conflicts, decisions),
     which skips the interpreter; by_init maps (case index, bytes of
@@ -176,26 +176,17 @@ def _search(cases: FitnessCaseSet, key: tuple[int, bytes]) -> tuple[int, int]:
 
 
 def evaluate(
-    ind: Individual, cases: FitnessCaseSet, memo: EvalMemo | None = None
-) -> Individual:
-    """Solve every fitness case with the individual's initialization:
-    evaluate_population of [ind] after clearing its fitness, answered by
-    `memo` where it can (without one, a fresh memo serves this call)."""
-    ind.fitness = None
-    evaluate_population([ind], cases, memo=memo)
-    return ind
-
-
-def evaluate_population(
     population, cases: FitnessCaseSet, jobs: int = 1, memo: EvalMemo | None = None
 ) -> None:
     """Set per_case and fitness on every individual whose fitness is None;
     one that has a fitness (a resumed one) is left alone and not counted.
+    Without `memo`, a fresh memo serves this call.
 
-    The one place that decides what is searched: the interpreter runs on
-    the distinct programs whose text the memo lacks, then each (case,
-    init) key memo.by_init lacks is searched once, in first-seen order.
-    Both phases go through map_shared, so nothing depends on `jobs`.
+    The one scoring function, and so the one place that decides what is
+    searched: the interpreter runs on the distinct programs whose text the
+    memo lacks, then each (case, init) key memo.by_init lacks is searched
+    once, in first-seen order.  Both phases go through map_shared, so
+    nothing depends on `jobs`.
     """
     if memo is None:
         memo = EvalMemo()
@@ -358,9 +349,9 @@ def step_steady_state(
     a population of fewer than 2 is refused with ValueError.  on_child,
     when given, is called with every freshly created Individual after
     evaluation (used by tests to audit depth and terminal rules).
-    Children are evaluated through `memo`, or a memo of this call only;
-    compute_activities validates each program it runs, and a copy shares
-    its parent's program.
+    Each new child is scored by evaluate([child]) through `memo`, or a
+    memo of this call only; compute_activities validates each program it
+    runs, and a copy shares its parent's program and fitness.
     """
     if len(population) < 2:
         raise ValueError(
@@ -395,7 +386,7 @@ def step_steady_state(
         rng.next_u64()  # unused draw, part of the pinned GP random stream
 
         if child.fitness is None:
-            evaluate(child, cases, memo)
+            evaluate([child], cases, memo=memo)
         if on_child is not None:
             on_child(child)
 
@@ -416,11 +407,13 @@ class GenerationRecord:
 
 def _record(generation: int, population) -> GenerationRecord:
     best = population[_best_index(population)]
-    mean = sum(ind.fitness for ind in population) / len(population)
+    total = 0.0  # left to right, as sum() does only before Python 3.12
+    for ind in population:
+        total += ind.fitness
     return GenerationRecord(
         generation=generation,
         best_fitness=best.fitness,
-        mean_fitness=mean,
+        mean_fitness=total / len(population),
         best_nodes=best.program.node_count,
         best_program=print_program(best.program),
     )
@@ -447,10 +440,11 @@ def run_evolution(
     advanced in place, so after the call they are the state to checkpoint,
     and the returned best is an element of the population list.
 
-    All evaluations of the run share one EvalMemo: the given one, whose
-    counters then tally the run, or one made here.  Pass a fresh memo: one
-    kept across runs on the same case set would make later runs nearly
-    free.
+    Generation 0 is one evaluate call on the population, and every later
+    evaluation one per child.  All of them share one EvalMemo: the given
+    one, whose counters then tally the run, or one made here.  Pass a fresh
+    memo: one kept across runs on the same case set would make later runs
+    nearly free.
     """
     config.validate()
     if population is not None and len(population) != config.population_size:
@@ -464,7 +458,7 @@ def run_evolution(
         population = create_initial_population(config, rng)
     if memo is None:
         memo = EvalMemo()
-    evaluate_population(population, cases, jobs=jobs, memo=memo)
+    evaluate(population, cases, jobs=jobs, memo=memo)
 
     log = [_record(start_generation, population)]
     for gen in range(start_generation + 1, config.generations + 1):

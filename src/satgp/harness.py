@@ -241,7 +241,6 @@ def run_histogram(
 class ReorderComparison:
     original: HistogramReport
     reordered: HistogramReport
-    kappa_ratio: float  # reordered k0 / original k0
 
 
 def compare_reordered(
@@ -265,8 +264,7 @@ def compare_reordered(
         run_histogram(twin, samples, 0.0, 1.0, config, master_seed, problem=name)
         for twin, name in zip(twins, names)
     )
-    ratio = reordered.baseline.conflicts / original.baseline.conflicts
-    return ReorderComparison(original=original, reordered=reordered, kappa_ratio=ratio)
+    return ReorderComparison(original, reordered)
 
 
 def percent_of_baseline(conflicts: int, baseline: int) -> float:
@@ -299,7 +297,10 @@ class ValidationReport:
 
     def __post_init__(self):
         rows = self.rows
-        self.mean_percent = sum(r.percent for r in rows) / len(rows) if rows else 100.0
+        total = 0.0  # left to right, as sum() does only before Python 3.12
+        for r in rows:
+            total += r.percent
+        self.mean_percent = total / len(rows) if rows else 100.0
         self.total_percent = percent_of_baseline(
             sum(r.program_conflicts for r in rows), sum(r.baseline_conflicts for r in rows))
 

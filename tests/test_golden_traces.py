@@ -8,18 +8,20 @@ step_steady_state changes every later generation.
 
 golden_traces.json pins a random 3-SAT corpus, plus configs that reach
 the solver's rarely taken branches (activity rescales, random decisions,
-short restarts).  Regenerate it only on purpose, and say so:
+short restarts).  The module needs only the standard library, so any
+interpreter can check every pinned value without pytest.  Regenerate the
+file only on purpose, and say so:
 
+    PYTHONPATH=src python3 tests/test_golden_traces.py --check
     PYTHONPATH=src python3 tests/test_golden_traces.py --regenerate
 """
 
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
 from unittest import mock
-
-import pytest
 
 from satgp.cnf import compute_var_stats, preprocess_bcp, random_3sat
 from satgp.gp import FitnessCaseSet, GpConfig, run_evolution
@@ -52,32 +54,43 @@ GOLDEN_GENERATIONS = [
 ]
 
 
-@pytest.fixture(scope="module")
+def pytest_generate_tests(metafunc):
+    # In place of pytest.mark.parametrize, which would need pytest at import.
+    if metafunc.function is test_solve_trace:
+        metafunc.parametrize("seed,init_name", sorted(GOLDEN_TRACES))
+
+
+@functools.lru_cache(maxsize=None)
 def reduced_bundled():
     reduced, verdict, forced = preprocess_bcp(bundled_cnf())
     assert (verdict, forced) == ("reduced", [])
     return reduced
 
 
-@pytest.mark.parametrize("seed,init_name", sorted(GOLDEN_TRACES))
-def test_solve_trace(reduced_bundled, seed, init_name):
-    program = preset_program(init_name)
-    acts = compute_activities(program, reduced_bundled, compute_var_stats(reduced_bundled))
+def bundled_trace(seed, init_name):
+    reduced = reduced_bundled()
+    acts = compute_activities(preset_program(init_name), reduced, compute_var_stats(reduced))
     if init_name == "zero":
-        assert acts == [0.0] * reduced_bundled.num_vars
-    out = solve(reduced_bundled, acts, SolverConfig(rng_seed=seed))
-    trace = (out.verdict, out.conflicts, out.decisions, out.propagations)
-    assert trace == GOLDEN_TRACES[(seed, init_name)]
+        assert acts == [0.0] * reduced.num_vars
+    out = solve(reduced, acts, SolverConfig(rng_seed=seed))
+    return (out.verdict, out.conflicts, out.decisions, out.propagations)
 
 
-def test_tiny_evolution():
+def test_solve_trace(seed, init_name):
+    assert bundled_trace(seed, init_name) == GOLDEN_TRACES[(seed, init_name)]
+
+
+def tiny_evolution():
+    """(best fitness, best per-case counts, log rows) of the pinned run."""
     cases = FitnessCaseSet.from_cnfs([("bundled", bundled_cnf())], SolverConfig())
     best, log = run_evolution(
         cases, GpConfig(population_size=20, generations=2, rng_seed=3)
     )
-    assert best.fitness == GOLDEN_BEST_FITNESS
-    assert best.per_case == GOLDEN_BEST_PER_CASE
-    assert [dataclasses.astuple(rec) for rec in log] == GOLDEN_GENERATIONS
+    return best.fitness, best.per_case, [dataclasses.astuple(rec) for rec in log]
+
+
+def test_tiny_evolution():
+    assert tiny_evolution() == (GOLDEN_BEST_FITNESS, GOLDEN_BEST_PER_CASE, GOLDEN_GENERATIONS)
 
 
 def corpus_cases():
@@ -127,8 +140,26 @@ def test_corpus_traces():
     assert corpus_traces() == json.loads(GOLDEN_FILE.read_text())
 
 
+def check() -> list[str]:
+    """The names of the pinned sets that this interpreter does not reproduce."""
+    matches = {
+        "corpus": corpus_traces() == json.loads(GOLDEN_FILE.read_text()),
+        "bundled": all(bundled_trace(*k) == v for k, v in GOLDEN_TRACES.items()),
+        "evolution": tiny_evolution()
+        == (GOLDEN_BEST_FITNESS, GOLDEN_BEST_PER_CASE, GOLDEN_GENERATIONS),
+    }
+    return [name for name, ok in matches.items() if not ok]
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regenerate"]:
-        sys.exit("usage: PYTHONPATH=src python3 tests/test_golden_traces.py --regenerate")
-    lines = [f" {json.dumps(k)}: {json.dumps(v)}" for k, v in corpus_traces().items()]
-    GOLDEN_FILE.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    if sys.argv[1:] == ["--regenerate"]:
+        lines = [f" {json.dumps(k)}: {json.dumps(v)}" for k, v in corpus_traces().items()]
+        GOLDEN_FILE.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    elif sys.argv[1:] == ["--check"]:
+        differ = check()
+        print(f"Python {sys.version.split()[0]}: corpus, bundled and evolution traces,",
+              f"differ: {', '.join(differ)}" if differ else "all match")
+        sys.exit(1 if differ else 0)
+    else:
+        sys.exit("usage: PYTHONPATH=src python3 tests/test_golden_traces.py"
+                 " --check | --regenerate")

@@ -11,7 +11,6 @@ from satgp.gp import (
     create_initial_population,
     crossover,
     evaluate,
-    evaluate_population,
     fitness,
     load_checkpoint,
     run_evolution,
@@ -152,14 +151,16 @@ class TestEvaluate:
     def test_zero_program_matches_baseline(self):
         cases = small_cases()
         baseline = solve_with_baseline(cases.cases[0].cnf, cases.solver_config)
-        ind = evaluate(Individual(parse_program("IN: 0")), cases)
+        ind = Individual(parse_program("IN: 0"))
+        evaluate([ind], cases)
         assert ind.per_case == [(baseline.conflicts, baseline.decisions)]
 
     def test_deterministic(self):
         cases = small_cases()
         prog = parse_program("IN: add(lc)")
-        a = evaluate(Individual(prog), cases)
-        b = evaluate(Individual(prog), cases)
+        a, b = Individual(prog), Individual(prog)
+        evaluate([a], cases)
+        evaluate([b], cases)
         assert a.fitness == b.fitness
         assert a.per_case == b.per_case
 
@@ -176,8 +177,8 @@ class TestEvaluate:
         config = small_config(population_size=8)
         seq = create_initial_population(config)
         par = create_initial_population(config)
-        evaluate_population(seq, cases, jobs=1)
-        evaluate_population(par, cases, jobs=2)
+        evaluate(seq, cases, jobs=1)
+        evaluate(par, cases, jobs=2)
         assert [i.fitness for i in seq] == [i.fitness for i in par]
 
 
@@ -220,7 +221,7 @@ class TestMemo:
     def test_matches_fresh_solves(self):
         cases = two_cases()
         population = self.population()
-        evaluate_population(population, cases, memo=EvalMemo())
+        evaluate(population, cases, memo=EvalMemo())
         for ind in population:
             per_case = []
             for case in cases.cases:
@@ -234,7 +235,7 @@ class TestMemo:
         cases = two_cases()
         calls = count_solves(monkeypatch)
         memo = EvalMemo()
-        evaluate_population(self.population(), cases, memo=memo)
+        evaluate(self.population(), cases, memo=memo)
         evaluated = len(self.TEXTS) * len(cases.cases)
         # one search per case for the lc family and one for sub(xp)
         assert len(calls) == memo.searches == 2 * len(cases.cases) < evaluated
@@ -245,9 +246,9 @@ class TestMemo:
         cases = two_cases()
         together, alone = EvalMemo(), EvalMemo()
         population, singles = self.population(), self.population()
-        evaluate_population(population, cases, jobs=1, memo=together)
+        evaluate(population, cases, jobs=1, memo=together)
         for ind in singles:
-            evaluate(ind, cases, alone)
+            evaluate([ind], cases, memo=alone)
         counters = [(m.evaluations, m.interpreter_runs, m.searches, m.by_text, m.by_init)
                     for m in (together, alone)]
         assert counters[0] == counters[1]
@@ -257,12 +258,11 @@ class TestMemo:
     def test_known_init_not_searched_again(self, monkeypatch):
         cases = two_cases()
         first = EvalMemo()
-        evaluate(Individual(parse_program("IN: add(lc)")), cases, first)
+        evaluate([Individual(parse_program("IN: add(lc)"))], cases, memo=first)
         # Keep case 0's init only; add(lc*2) has the same normalized init.
         memo = EvalMemo(by_init={k: v for k, v in first.by_init.items() if k[0] == 0})
         calls = count_solves(monkeypatch)
-        evaluate_population([Individual(parse_program("IN: add(lc*2)"))], cases, jobs=1,
-                            memo=memo)
+        evaluate([Individual(parse_program("IN: add(lc*2)"))], cases, jobs=1, memo=memo)
         assert calls == [cases.cases[1].cnf]
         assert memo.searches == 1
         assert memo.interpreter_runs == len(cases.cases)
@@ -311,30 +311,17 @@ class TestMemo:
         monkeypatch.setattr(gp, "compute_activities", counted)
         calls = count_solves(monkeypatch)
         memo = EvalMemo()
-        evaluate_population([resumed, fresh], cases, memo=memo)
+        evaluate([resumed, fresh], cases, memo=memo)
         assert (resumed.fitness, resumed.per_case) == (7.5, None)
         assert interpreted == ["IN: add(lc)"] * len(cases.cases)
         assert len(calls) == memo.searches == len(cases.cases)
         assert (memo.evaluations, memo.interpreter_runs) == (1, len(cases.cases))
         assert fresh.fitness is not None
 
-    def test_evaluate_again_answers_from_the_memo(self, monkeypatch):
-        cases = two_cases()
-        memo = EvalMemo()
-        ind = evaluate(Individual(parse_program("IN: add(lc)")), cases, memo)
-        scored = (ind.fitness, ind.per_case)
-        searches = memo.searches
-        ind.fitness = 0.0
-        calls = count_solves(monkeypatch)
-        assert evaluate(ind, cases, memo) is ind
-        assert (ind.fitness, ind.per_case) == scored
-        assert calls == [] and memo.searches == searches
-        assert memo.evaluations == 2
-
     def test_parallel_population_searches_each_init_once(self):
         cases = two_cases()
         memo = EvalMemo()
-        evaluate_population(self.population(), cases, jobs=2, memo=memo)
+        evaluate(self.population(), cases, jobs=2, memo=memo)
         # lc, lc*2 and lc*4 share one normalized init per case.
         assert memo.searches == 2 * len(cases.cases)
 
@@ -344,7 +331,7 @@ class TestSelection:
         cases = small_cases()
         config = small_config(population_size=12)
         population = create_initial_population(config)
-        evaluate_population(population, cases)
+        evaluate(population, cases)
         best_fit = min(i.fitness for i in population)
         # Sampling is without replacement, so a full-size tournament sees
         # the whole population and must return the global best.
@@ -356,7 +343,7 @@ class TestSelection:
         cases = small_cases()
         config = small_config(population_size=6)
         population = create_initial_population(config)
-        evaluate_population(population, cases)
+        evaluate(population, cases)
         rng = SplitMix64(4)
         picks = {id(tournament_select(population, rng, 1)) for _ in range(60)}
         assert len(picks) > 1
@@ -403,7 +390,7 @@ class TestSteadyState:
         config = small_config(population_size=14, generations=1)
         rng = SplitMix64(config.rng_seed)
         population = create_initial_population(config, rng)
-        evaluate_population(population, cases)
+        evaluate(population, cases)
         best_before = min(i.fitness for i in population)
         step_steady_state(population, cases, rng)
         assert len(population) == 14
@@ -414,7 +401,7 @@ class TestSteadyState:
         config = small_config(population_size=12, generations=1)
         rng = SplitMix64(2)
         population = create_initial_population(config, rng)
-        evaluate_population(population, cases)
+        evaluate(population, cases)
         children = []
         step_steady_state(population, cases, rng, on_child=children.append)
         assert len(children) == 12
@@ -429,7 +416,7 @@ class TestSteadyState:
         cases = small_cases()
         rng = SplitMix64(3)
         population = create_initial_population(small_config(population_size=4), rng)
-        evaluate_population(population, cases)
+        evaluate(population, cases)
         children = []
         step_steady_state(population, cases, rng, on_child=children.append)
         assert len(children) == 4
@@ -467,8 +454,41 @@ class TestRunEvolution:
         cases = small_cases()
         config = small_config(population_size=10, generations=1)
         best, _ = run_evolution(cases, config)
-        fresh = evaluate(Individual(best.program), cases)
+        fresh = Individual(best.program)
+        evaluate([fresh], cases)
         assert fresh.fitness == best.fitness
+
+    def test_interpreter_and_solver_run_only_inside_evaluate(self, monkeypatch):
+        # A tracer that times fitness by wrapping gp.evaluate sees all of it
+        # only if nothing else runs the interpreter or a search.
+        depth, counts = [0], {"evaluate": 0, "compute_activities": 0, "solve": 0}
+
+        def flagged(*args, **kwargs):
+            counts["evaluate"] += 1
+            depth[0] += 1
+            try:
+                return real_evaluate(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def guarded(name, fn):
+            def call(*args, **kwargs):
+                assert depth[0], f"{name} ran outside gp.evaluate"
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        real_evaluate = gp.evaluate
+        monkeypatch.setattr(gp, "evaluate", flagged)
+        for name in ("compute_activities", "solve"):
+            monkeypatch.setattr(gp, name, guarded(name, getattr(gp, name)))
+        children = []
+        run_evolution(small_cases(), small_config(population_size=10, generations=2),
+                      on_child=children.append)
+        new = [c for c in children if c.origin != "copy"]
+        # one call for generation 0, then one per new child
+        assert counts["evaluate"] == 1 + len(new) > 1
+        assert counts["compute_activities"] > 0 and counts["solve"] > 0
 
     def test_resume_matches_uninterrupted(self):
         cases = small_cases()

@@ -231,7 +231,8 @@ class TestValidation:
         program = parse_program("IN: sub(xp)")
         report = run_validation(program, [("bundled", cnf)], CONFIG)
         cases = FitnessCaseSet.from_cnfs([("bundled", cnf)], CONFIG)
-        ind = evaluate(Individual(program), cases)
+        ind = Individual(program)
+        evaluate([ind], cases)
         assert report.rows[0].program_conflicts == ind.per_case[0][0]
         assert report.rows[0].program_decisions == ind.per_case[0][1]
 
