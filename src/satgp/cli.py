@@ -102,14 +102,8 @@ def _emit(args, config: SolverConfig | None, master_seed: int, inputs, artifacts
 
 def _solver_config(args) -> SolverConfig:
     """The solver flags as a SolverConfig; ValueError if one is out of range."""
-    config = SolverConfig(
-        var_decay=args.var_decay,
-        random_decision_freq=args.random_freq,
-        restart_first=args.restart_first,
-        rng_seed=args.solver_seed,
-    )
-    config.validate()
-    return config
+    return SolverConfig(var_decay=args.var_decay, random_decision_freq=args.random_freq,
+                        restart_first=args.restart_first, rng_seed=args.solver_seed)
 
 
 def _jobs(text: str) -> int:
@@ -257,10 +251,7 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 def cmd_evolve(args) -> int:
     solver_config = _solver_config(args)
-    gp_config = GpConfig(
-        population_size=args.pop, generations=args.gens, rng_seed=args.seed
-    )
-    gp_config.validate()
+    gp_config = GpConfig(population_size=args.pop, generations=args.gens, rng_seed=args.seed)
     named = [(os.path.basename(path), read_dimacs(path)) for path in args.files]
     cases = FitnessCaseSet.from_cnfs(named, solver_config)
     if args.resume:

@@ -25,10 +25,20 @@ class DimacsError(ValueError):
 
 @dataclass(frozen=True)
 class Cnf:
-    """A CNF formula: variable count plus an ordered clause list."""
+    """A CNF formula: variable count plus an ordered clause list; a literal 0
+    or beyond num_vars, or num_vars < 0, raises ValueError when it is made."""
 
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        n = self.num_vars
+        if n < 0:
+            raise ValueError(f"num_vars is {n}, expected >= 0")
+        lits = set().union(*self.clauses)
+        if lits and (0 in lits or max(lits) > n or min(lits) < -n):
+            bad = next(c for c in self.clauses if any(not 0 < abs(lit) <= n for lit in c))
+            raise ValueError(f"clause {bad} has a literal 0 or beyond num_vars={n}")
 
     @staticmethod
     def from_lists(num_vars: int, clauses) -> "Cnf":

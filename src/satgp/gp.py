@@ -36,8 +36,8 @@ import math
 import struct
 from dataclasses import dataclass, field, replace
 
-from .cnf import Cnf, VarStats, compute_var_stats, preprocess_bcp, write_dimacs
-from .harness import config_hash, map_shared
+from .cnf import Cnf, VarStats, compute_var_stats, write_dimacs
+from .harness import config_hash, map_shared, searched_formula
 from .lang import (
     FUNCTIONS,
     TERMINALS_BY_FRAGMENT,
@@ -66,13 +66,13 @@ CREATION_MAX_DEPTH = 6
 CROSSOVER_MAX_DEPTH = 17
 
 
-@dataclass
+@dataclass(frozen=True)
 class GpConfig:
     population_size: int = 1000
     generations: int = 5
     rng_seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.generations < 0:
             raise ValueError("generations must be >= 0")
         if self.population_size < 2:
@@ -101,19 +101,15 @@ class FitnessCaseSet:
 
     @staticmethod
     def from_cnfs(named_cnfs, solver_config: SolverConfig) -> "FitnessCaseSet":
-        """Preprocess raw CNFs into fitness cases.
-
-        Rejects problems that preprocessing alone satisfies or refutes: a
-        fitness case must require search.
-        """
+        """Preprocess raw CNFs into fitness cases.  Refuses, through
+        searched_formula as the histogram does, problems that preprocessing
+        alone decides: a fitness case must require search."""
         cases = []
         for name, cnf in named_cnfs:
-            reduced, verdict, _ = preprocess_bcp(cnf)
-            if verdict != "reduced":
-                raise ValueError(
-                    f"fitness case {name!r} is {verdict} after preprocessing;"
-                    " a fitness case must require search"
-                )
+            try:
+                reduced = searched_formula(cnf)
+            except ValueError as exc:
+                raise ValueError(f"fitness case {name!r}: {exc}; it must require search") from None
             cases.append(FitnessCase(name, reduced, compute_var_stats(reduced)))
         if not cases:
             raise ValueError("at least one fitness case is required")
@@ -144,9 +140,9 @@ class EvalMemo:
     which skips the interpreter; by_init maps (case index, bytes of
     normalize(acts) as doubles) to (conflicts, decisions), which skips the
     solver.  Both keys are exact: a by_init key is the input that was
-    searched, and the solver config is fixed per case set.  Ranks would
-    not be: x**5 keeps the order of an init but changes its trace.  The
-    counters tally evaluated individuals, interpreter runs and searches.
+    searched, and the solver config, frozen, is fixed per case set.  Ranks
+    would not be: x**5 keeps the order of an init but changes its trace.
+    The counters tally evaluated individuals, interpreter runs and searches.
     """
 
     by_text: dict[str, list[tuple[int, int]]] = field(default_factory=dict)
@@ -247,7 +243,6 @@ def random_individual(rng: SplitMix64, depth: int, method: str) -> Individual:
 def create_initial_population(config: GpConfig, rng: SplitMix64 | None = None):
     """Ramped half-and-half: cycle depths 2..CREATION_MAX_DEPTH, half of
     the individuals at each depth built with 'full', half with 'grow'."""
-    config.validate()
     if rng is None:
         rng = SplitMix64(config.rng_seed)
     ramp = [
@@ -350,8 +345,8 @@ def step_steady_state(
     when given, is called with every freshly created Individual after
     evaluation (used by tests to audit depth and terminal rules).
     Each new child is scored by evaluate([child]) through `memo`, or a
-    memo of this call only; compute_activities validates each program it
-    runs, and a copy shares its parent's program and fitness.
+    memo of this call only; every program checked itself when made (see
+    InitProgram), and a copy shares its parent's program and fitness.
     """
     if len(population) < 2:
         raise ValueError(
@@ -446,7 +441,6 @@ def run_evolution(
     memo: one kept across runs on the same case set would make later runs
     nearly free.
     """
-    config.validate()
     if population is not None and len(population) != config.population_size:
         raise ValueError(
             f"population has {len(population)} individuals,"
@@ -514,17 +508,21 @@ def load_checkpoint(text: str, cases: FitnessCaseSet, population_size: int):
     Raises ValueError, naming the field or the line, when the checkpoint
     was made for another population size, solver configuration or set of
     fitness cases, when a field or line is malformed or out of range
-    (generation >= 0, rng_state < 2**64, a finite fitness >= 0), and when
-    its individuals do not match its header.
+    (generation >= 0, rng_state < 2**64, a finite fitness >= 0), when a
+    header key repeats, and when its individuals do not match its header.
     """
     lines = text.splitlines()
     header = lines[0] if lines else ""
     if not header.startswith("# generation="):
         raise ValueError("not a population checkpoint")
-    fields = dict(part.partition("=")[::2] for part in header[2:].split())
-    for key, value in fields.items():
+    fields: dict[str, str] = {}
+    for part in header[2:].split():
+        key, _, value = part.partition("=")
         if not value:
             raise ValueError(f"checkpoint header part {key!r} has no value")
+        if key in fields:
+            raise ValueError(f"checkpoint header repeats {key!r}")
+        fields[key] = value
     for key, expected in _checkpoint_fields(population_size, cases).items():
         if fields.get(key) != expected:
             raise ValueError(

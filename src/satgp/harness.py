@@ -96,8 +96,9 @@ def random_init(num_vars: int, seed: int, lo: float, hi: float) -> list[float]:
     return [gen.uniform(lo, hi) for _ in range(num_vars)]
 
 
-def _searched_formula(cnf: Cnf) -> Cnf:
-    """preprocess_bcp's reduction of raw cnf; ValueError if that decides it."""
+def searched_formula(cnf: Cnf) -> Cnf:
+    """preprocess_bcp's reduction of raw cnf; ValueError if that decides it.
+    The one gate: histograms, replays and GP fitness cases use it."""
     reduced, verdict, _ = preprocess_bcp(cnf)
     if verdict != "reduced":
         raise ValueError(f"problem is {verdict} after preprocessing")
@@ -110,7 +111,7 @@ def replay_sample(
     """Re-run one run_histogram sample of the raw formula cnf from its
     stored seed: the search runs on preprocess_bcp's reduced formula, and
     a formula that run_histogram refuses is refused the same way."""
-    reduced = _searched_formula(cnf)
+    reduced = searched_formula(cnf)
     return solve(reduced, random_init(reduced.num_vars, seed, lo, hi), config)
 
 
@@ -203,7 +204,7 @@ def run_histogram(
     solves without conflicts, because percentages of zero are undefined.
     """
     check_histogram_args(samples, lo, hi)
-    cnf = _searched_formula(cnf)
+    cnf = searched_formula(cnf)
     baseline = solve_with_baseline(cnf, config)
     if baseline.conflicts == 0:
         raise ValueError("baseline has no conflicts; histogram undefined")

@@ -17,7 +17,8 @@ clause/literal terminals (ln, lp, lc, cs, xs, ls, ic, il).  All function
 return values and register writes are clamped to [-1e6, 1e6], and division
 by anything smaller in magnitude than 1e-9 returns the positive or
 negative limit according to the numerator's sign (sign of 0 counts as
-positive).  Every function is total, so evaluation cannot fail at runtime.
+positive).  Every function is total, so evaluation cannot fail at runtime,
+and an InitProgram checks its trees when made, so the evaluators need not.
 
 Each primitive is defined once: the terminals in TERMINALS_BY_FRAGMENT,
 the functions in two evaluation tables, _WRITERS (the seven register
@@ -157,11 +158,16 @@ def validate_tree(tree: Node, fragment: str) -> None:
 
 @dataclass(frozen=True)
 class InitProgram:
-    """The GP genotype: one tree per template fragment."""
+    """The GP genotype: one tree per template fragment.  A tree that breaks
+    validate_tree's rules raises ProgramSyntaxError when the program is made."""
 
     pre: Node = ZERO
     in_loop: Node = ZERO
     post: Node = ZERO
+
+    def __post_init__(self) -> None:
+        for fragment, tree in self.fragments():
+            validate_tree(tree, fragment)
 
     @property
     def node_count(self) -> int:
@@ -171,11 +177,6 @@ class InitProgram:
         yield "pre", self.pre
         yield "in", self.in_loop
         yield "post", self.post
-
-
-def validate_program(prog: InitProgram) -> None:
-    for fragment, tree in prog.fragments():
-        validate_tree(tree, fragment)
 
 
 class Registers:
@@ -334,9 +335,8 @@ def _check_in_bounds(ctx: EvalContext) -> None:
         raise RuntimeError(f"il={ctx.il} outside [0, cs-1={ctx.cs - 1})")
 
 
-def _checked_stats(prog: InitProgram, cnf: Cnf, stats: VarStats | None) -> VarStats:
-    """Shared prologue: validate the program, compute or check the stats."""
-    validate_program(prog)
+def _checked_stats(cnf: Cnf, stats: VarStats | None) -> VarStats:
+    """Shared prologue: compute the stats, or check that they fit cnf."""
     if stats is None:
         stats = compute_var_stats(cnf)
     if len(stats.xc) != cnf.num_vars + 1:
@@ -436,7 +436,7 @@ def compute_activities(
     num_vars*(|PRE| + |POST|) + in_executions*|IN| plus the static count
     of every `if` branch taken, |T| counting the nodes outside branches.
     """
-    stats = _checked_stats(prog, cnf, stats)
+    stats = _checked_stats(cnf, stats)
     n = cnf.num_vars
     xnf = [float(x) for x in stats.xn]
     xpf = [float(x) for x in stats.xp]
@@ -496,7 +496,7 @@ def reference_compute_activities(
     documented loop-terminal ranges and raises RuntimeError on a breach.
     Must equal compute_activities bitwise.
     """
-    stats = _checked_stats(prog, cnf, stats)
+    stats = _checked_stats(cnf, stats)
     n = cnf.num_vars
     ordered = binary_first_order(cnf.clauses)
     out = [0.0] * n
@@ -654,7 +654,7 @@ class _ExprParser:
             if tok not in _CONSTANTS:
                 raise ProgramSyntaxError(f"constant {tok} not available (only 0..4)")
             return Node(tok)
-        if tok.isidentifier():  # validate_tree checks the name and arity
+        if tok.isidentifier():  # InitProgram checks the name and arity
             if self.peek() != "(":
                 return Node(tok)
             self.take()
@@ -715,7 +715,6 @@ def parse_program(text: str) -> InitProgram:
             )
         if tree_depth(tree) > MAX_NESTING:  # long infix chains or sequences
             raise ProgramSyntaxError(_TOO_DEEP)
-        validate_tree(tree, fragment)
         trees[fragment] = tree
     return InitProgram(pre=trees["pre"], in_loop=trees["in"], post=trees["post"])
 

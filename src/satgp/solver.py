@@ -65,16 +65,17 @@ SCHEDULE = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Search parameters; the defaults define this toolkit's baseline."""
+    """Search parameters; the defaults define this toolkit's baseline.
+    An out-of-range value raises ValueError when the config is made."""
 
     var_decay: float = 0.95
     random_decision_freq: float = 0.02
     restart_first: int = 100
     rng_seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 < self.var_decay < 1.0:
             raise ValueError("var_decay must be in (0, 1)")
         if not 0.0 <= self.random_decision_freq < 1.0:
@@ -423,18 +424,15 @@ class _Search:
                 self.decide()
 
 
-def solve(cnf: Cnf, init: list[float], config: SolverConfig | None = None) -> SolveOutcome:
+def solve(cnf: Cnf, init: list[float], config: SolverConfig = SolverConfig()) -> SolveOutcome:
     """Complete search over `cnf` starting from the given initial activities.
 
-    `init` must contain one finite value per variable (index v-1 for
-    variable v).  The input is expected to be free of unit clauses (run
-    preprocess_bcp first); unit and empty clauses are still handled as
-    degenerate cases.  Identical (cnf, init, config) always produces an
-    identical outcome apart from wall_time.
+    `init` must hold one finite value per variable (index v-1 for variable
+    v); a Cnf and a SolverConfig check themselves when made.  The input is
+    expected to be free of unit clauses (run preprocess_bcp first); unit and
+    empty clauses are still handled as degenerate cases.  Identical (cnf,
+    init, config) always produces an identical outcome apart from wall_time.
     """
-    if config is None:
-        config = SolverConfig()
-    config.validate()
     if len(init) != cnf.num_vars:
         raise ValueError(
             f"init length {len(init)} does not match num_vars {cnf.num_vars}"
@@ -460,7 +458,7 @@ def solve(cnf: Cnf, init: list[float], config: SolverConfig | None = None) -> So
     )
 
 
-def solve_with_baseline(cnf: Cnf, config: SolverConfig | None = None) -> SolveOutcome:
+def solve_with_baseline(cnf: Cnf, config: SolverConfig = SolverConfig()) -> SolveOutcome:
     """Solve with the standard all-zero initialization.
 
     The conflict count of this run is the baseline against which other

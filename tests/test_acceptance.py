@@ -34,7 +34,7 @@ from satgp.lang import (
     parse_program,
     reference_compute_activities,
     tree_depth,
-    validate_program,
+    validate_tree,
 )
 from satgp.gp import random_individual
 from satgp.rng import SplitMix64
@@ -233,19 +233,19 @@ def test_criterion_08_gp_mechanics():
         audited = []
 
         def audit(child):
-            validate_program(child.program)
             if child.origin.startswith(("full", "grow")):
                 limit = CREATION_MAX_DEPTH
             else:
                 limit = CROSSOVER_MAX_DEPTH
-            for _, tree in child.program.fragments():
+            for fragment, tree in child.program.fragments():
+                validate_tree(tree, fragment)
                 assert tree_depth(tree) <= limit
             audited.append(child)
 
         initial = create_initial_population(config)
         for ind in initial:
-            validate_program(ind.program)
-            for _, tree in ind.program.fragments():
+            for fragment, tree in ind.program.fragments():
+                validate_tree(tree, fragment)
                 assert tree_depth(tree) <= CREATION_MAX_DEPTH
 
         best, log = run_evolution(cases, config, on_child=audit)

@@ -17,6 +17,22 @@ from satgp.cnf import (
 from satgp.rng import SplitMix64
 
 
+class TestCnf:
+    @pytest.mark.parametrize("num_vars,clauses,message", [
+        (2, ((1, 0), (-1, 2)), r"clause \(1, 0\)"),
+        (3, ((1, 2), (-4, 3)), r"clause \(-4, 3\) .* num_vars=3"),
+        (0, ((1,),), r"clause \(1,\)"),
+        (-1, (), "num_vars is -1"),
+    ])
+    def test_bad_formula_refused_when_made(self, num_vars, clauses, message):
+        with pytest.raises(ValueError, match=message):
+            Cnf(num_vars, clauses)
+
+    def test_empty_formulas_accepted(self):
+        assert Cnf(0, ()).num_clauses == 0
+        assert Cnf(2, ((),)).clauses == ((),)
+
+
 class TestParse:
     def test_basic(self):
         cnf = parse_dimacs("p cnf 2 2\n1 2 0\n-1 2 0\n")

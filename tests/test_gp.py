@@ -1,8 +1,10 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from satgp import gp
-from satgp.cnf import random_3sat
+from satgp.cnf import Cnf, random_3sat
 from satgp.gp import (
     EvalMemo,
     FitnessCaseSet,
@@ -25,7 +27,7 @@ from satgp.lang import (
     parse_program,
     print_program,
     tree_depth,
-    validate_program,
+    validate_tree,
 )
 from satgp.rng import SplitMix64
 from satgp.solver import SolverConfig, solve, solve_with_baseline
@@ -53,7 +55,14 @@ class TestConfig:
     ])
     def test_bad_config_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
-            GpConfig(**{field: value}).validate()
+            GpConfig(**{field: value})
+
+    def test_config_is_frozen(self):
+        config = GpConfig()
+        with pytest.raises(ValueError, match="population_size"):
+            dataclasses.replace(config, population_size=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.generations = -1
 
     def test_small_population_evolves(self):
         config = GpConfig(population_size=4, generations=2, rng_seed=3)
@@ -117,8 +126,8 @@ class TestCreation:
         config = small_config(population_size=300)
         legal_outside = set(TERMINALS_BY_FRAGMENT["pre"])
         for ind in create_initial_population(config):
-            validate_program(ind.program)
             for fragment, tree in ind.program.fragments():
+                validate_tree(tree, fragment)
                 if fragment == "in":
                     continue
                 for node in iter_nodes(tree):
@@ -164,12 +173,17 @@ class TestEvaluate:
         assert a.fitness == b.fitness
         assert a.per_case == b.per_case
 
-    def test_rejects_trivial_fitness_case(self):
-        from satgp.cnf import Cnf
-
-        with pytest.raises(ValueError, match="require search"):
+    @pytest.mark.parametrize("clauses,verdict", [
+        ([[1], [-1, 2]], "satisfied"),
+        ([[1], [-1]], "unsatisfiable"),
+    ])
+    def test_rejects_trivial_fitness_case(self, clauses, verdict):
+        # The message is run_histogram's, from the same gate, plus the case.
+        message = (f"^fitness case 'triv': problem is {verdict} after preprocessing;"
+                   " it must require search$")
+        with pytest.raises(ValueError, match=message):
             FitnessCaseSet.from_cnfs(
-                [("triv", Cnf.from_lists(1, [[1]]))], SolverConfig()
+                [("triv", Cnf.from_lists(2, clauses))], SolverConfig()
             )
 
     def test_parallel_evaluation_matches_sequential(self):
@@ -367,8 +381,8 @@ class TestCrossover:
             if child is None:
                 continue
             made += 1
-            validate_program(child)
-            for _, tree in child.fragments():
+            for fragment, tree in child.fragments():
+                validate_tree(tree, fragment)
                 assert tree_depth(tree) <= 17
         assert made > 300
 
@@ -406,9 +420,9 @@ class TestSteadyState:
         step_steady_state(population, cases, rng, on_child=children.append)
         assert len(children) == 12
         for child in children:
-            validate_program(child.program)
             limit = 6 if child.origin.startswith(("full", "grow")) else 17
-            for _, tree in child.program.fragments():
+            for fragment, tree in child.program.fragments():
+                validate_tree(tree, fragment)
                 assert tree_depth(tree) <= limit
 
     def test_small_population_has_one_event_per_individual(self):
@@ -560,6 +574,14 @@ class TestCheckpoint:
             load_checkpoint(truncated, cases, 6)
         lines[4] = lines[4].replace("\t", " ")
         with pytest.raises(ValueError, match="checkpoint line 5: expected fitness TAB program"):
+            load_checkpoint("\n".join(lines) + "\n", cases, 6)
+
+    def test_repeated_header_key_refused(self):
+        # A repeated key used to be accepted, the last value winning.
+        cases = small_cases()
+        lines = save_checkpoint(*evolved(cases), cases).splitlines()
+        lines[0] += " generation=1"
+        with pytest.raises(ValueError, match="repeats 'generation'"):
             load_checkpoint("\n".join(lines) + "\n", cases, 6)
 
     def test_population_of_other_size_refused(self):

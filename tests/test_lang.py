@@ -633,6 +633,14 @@ class TestTextFormat:
         with pytest.raises(ProgramSyntaxError, match="only available inside IN"):
             parse_program("POST: set(ic)")
 
+    def test_program_checked_when_made(self):
+        with pytest.raises(ProgramSyntaxError, match="only available inside IN"):
+            InitProgram(pre=Node("ln"))
+        with pytest.raises(ProgramSyntaxError, match="argument"):
+            InitProgram(in_loop=Node("add"))
+        with pytest.raises(ProgramSyntaxError, match="unknown"):
+            InitProgram(post=Node("bogus"))
+
     def test_unknown_symbol(self):
         with pytest.raises(ProgramSyntaxError, match="unknown"):
             parse_program("IN: add(bogus)")

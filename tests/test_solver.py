@@ -46,6 +46,33 @@ class TestBasics:
         with pytest.raises(ValueError, match="var_decay"):
             solve_with_baseline(Cnf.from_lists(1, [[1]]), SolverConfig(var_decay=1.5))
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("var_decay", 0.0, "var_decay must be in"),
+        ("var_decay", 1.0, "var_decay must be in"),
+        ("random_decision_freq", -0.1, "random_decision_freq must be in"),
+        ("random_decision_freq", 1.0, "random_decision_freq must be in"),
+        ("restart_first", 0, "restart_first must be >= 1"),
+    ])
+    def test_bad_config_refused_when_made(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(**{field: value})
+
+    def test_config_is_frozen(self):
+        config = SolverConfig()
+        with pytest.raises(ValueError, match="var_decay"):
+            dataclasses.replace(config, var_decay=1.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.var_decay = 1.5
+
+    def test_out_of_range_literal_refused(self):
+        # Literal 4 of a 3-variable formula used to alias the slot of -3 in
+        # the solver's arrays, and this satisfiable formula read unsat.
+        clauses = ((-1, -3), (1, -2), (1, 2), (1, -4), (-4, 1), (2, -4),
+                   (4, -3), (-2, 3), (-3, -1), (3, -4))
+        assert solve(Cnf(4, clauses), [0.0] * 4).verdict == "sat"
+        with pytest.raises(ValueError, match=r"clause \(1, -4\)"):
+            solve(Cnf(3, clauses), [0.0] * 3)
+
     def test_baseline_is_zero_init(self):
         cnf = random_3sat(15, 60, seed=3)
         a = solve_with_baseline(cnf)
