@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain
 
 from .rng import SplitMix64
 
@@ -25,8 +26,8 @@ class DimacsError(ValueError):
 
 @dataclass(frozen=True)
 class Cnf:
-    """A CNF formula: variable count plus an ordered clause list; a literal 0
-    or beyond num_vars, or num_vars < 0, raises ValueError when it is made."""
+    """A CNF formula: variable count plus an ordered clause list; num_vars < 0
+    or a literal that is not an int with 0 < abs(lit) <= num_vars raises ValueError."""
 
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
@@ -35,6 +36,10 @@ class Cnf:
         n = self.num_vars
         if n < 0:
             raise ValueError(f"num_vars is {n}, expected >= 0")
+        # Over every literal, not the union set, where 1.0 and True pass as 1.
+        if set(map(type, chain.from_iterable(self.clauses))) - {int}:
+            bad = next(c for c in self.clauses if any(type(lit) is not int for lit in c))
+            raise ValueError(f"clause {bad} has a literal that is not an int")
         lits = set().union(*self.clauses)
         if lits and (0 in lits or max(lits) > n or min(lits) < -n):
             bad = next(c for c in self.clauses if any(not 0 < abs(lit) <= n for lit in c))
@@ -78,7 +83,6 @@ def parse_dimacs(source) -> Cnf:
     declared_clauses = encountered_clauses = 0
     clauses: list[tuple[int, ...]] = []
     current: list[int] = []
-    clause_open = False
     last_line_no = 0
 
     for line_no, raw in enumerate(source.splitlines(), start=1):
@@ -92,7 +96,8 @@ def parse_dimacs(source) -> Cnf:
             if num_vars is not None:
                 raise DimacsError(line_no, "duplicate header")
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            # int() reads 1_0 as 10, so no count or literal may hold a "_".
+            if len(parts) != 4 or parts[1] != "cnf" or "_" in line:
                 raise DimacsError(line_no, f"malformed header {line!r}")
             try:
                 num_vars = int(parts[2])
@@ -105,6 +110,8 @@ def parse_dimacs(source) -> Cnf:
         if num_vars is None:
             raise DimacsError(line_no, "clause data before 'p cnf' header")
         for tok in line.split():
+            if "_" in tok:
+                raise DimacsError(line_no, f"non-integer token {tok!r}")
             try:
                 lit = int(tok)
             except ValueError:
@@ -115,16 +122,14 @@ def parse_dimacs(source) -> Cnf:
                 if clause is not None:
                     clauses.append(clause)
                 current = []
-                clause_open = False
                 continue
             if abs(lit) > num_vars:
                 raise DimacsError(
                     line_no, f"variable {abs(lit)} exceeds declared {num_vars}"
                 )
             current.append(lit)
-            clause_open = True
 
-    if clause_open:
+    if current:
         raise DimacsError(last_line_no, "unterminated clause at end of input")
     if num_vars is None:
         raise DimacsError(last_line_no or 1, "missing 'p cnf' header")

@@ -22,7 +22,9 @@ learning with non-chronological backjumping, geometric restarts that keep
 learned clauses and activities, and learned-clause database reduction
 driven by clause activities.  There is no timeout; the solver always runs
 to completion and the returned model is verified against the input
-clauses before it is returned.
+clauses before it is returned.  Top-level unit propagation is not redone
+here: solve searches only a formula that cnf.preprocess_bcp reduced, and
+refuses one with no clause, a unit clause or an empty clause.
 
 The restart, decay and learned-clause schedule is fixed, as in MiniSat,
 in the table SCHEDULE; SolverConfig holds the four settings that vary
@@ -358,16 +360,7 @@ class _Search:
 
     def run(self) -> tuple[str, dict[int, bool] | None]:
         for clause_lits in self.cnf.clauses:
-            if len(clause_lits) == 0:
-                return "unsat", None
-            if len(clause_lits) == 1:
-                lit = clause_lits[0]
-                if self.val[lit] is False:
-                    return "unsat", None
-                if self.val[lit] is None:
-                    self.enqueue(lit, None)
-            else:
-                self.attach(_Clause(list(clause_lits)))
+            self.attach(_Clause(list(clause_lits)))
 
         rescale_threshold = SCHEDULE["rescale_threshold"]
         restart_factor = SCHEDULE["restart_factor"]
@@ -427,12 +420,16 @@ class _Search:
 def solve(cnf: Cnf, init: list[float], config: SolverConfig = SolverConfig()) -> SolveOutcome:
     """Complete search over `cnf` starting from the given initial activities.
 
-    `init` must hold one finite value per variable (index v-1 for variable
-    v); a Cnf and a SolverConfig check themselves when made.  The input is
-    expected to be free of unit clauses (run preprocess_bcp first); unit and
-    empty clauses are still handled as degenerate cases.  Identical (cnf,
-    init, config) always produces an identical outcome apart from wall_time.
+    `cnf` must be a formula that preprocess_bcp reduced, with at least one
+    clause and none shorter than 2 literals, else ValueError is raised
+    before any search.  `init` must hold one finite value per variable
+    (index v-1 for variable v); a Cnf and a SolverConfig check themselves
+    when made.  Identical (cnf, init, config) always produces an identical
+    outcome apart from wall_time.
     """
+    if min(map(len, cnf.clauses), default=0) < 2:
+        raise ValueError("solve needs a formula that preprocess_bcp reduced: "
+                         "at least one clause, none shorter than 2 literals")
     if len(init) != cnf.num_vars:
         raise ValueError(
             f"init length {len(init)} does not match num_vars {cnf.num_vars}"
@@ -442,10 +439,6 @@ def solve(cnf: Cnf, init: list[float], config: SolverConfig = SolverConfig()) ->
             raise ValueError(f"non-finite initial activity at variable {i + 1}")
 
     start = time.perf_counter()
-    if not cnf.clauses:
-        model = {v: False for v in range(1, cnf.num_vars + 1)}
-        return SolveOutcome("sat", 0, 0, 0, model, time.perf_counter() - start)
-
     search = _Search(cnf, init, config)
     verdict, model = search.run()
     return SolveOutcome(

@@ -22,6 +22,9 @@ class TestCnf:
         (2, ((1, 0), (-1, 2)), r"clause \(1, 0\)"),
         (3, ((1, 2), (-4, 3)), r"clause \(-4, 3\) .* num_vars=3"),
         (0, ((1,),), r"clause \(1,\)"),
+        (2, ((1.5, 2), (-1, -2)), r"clause \(1\.5, 2\) has a literal that is not an int"),
+        (2, ((1, 2), (-1.0, -2)), r"clause \(-1\.0, -2\) has a literal that is not an int"),
+        (2, ((True, 2), (-1, -2)), r"clause \(True, 2\) has a literal that is not an int"),
         (-1, (), "num_vars is -1"),
     ])
     def test_bad_formula_refused_when_made(self, num_vars, clauses, message):
@@ -77,6 +80,7 @@ class TestParse:
         ("p cnf 1 1\np cnf 1 1\n1 0\n", "line 2: duplicate header"),
         ("p cnf x 1\n1 0\n", "line 1: malformed header 'p cnf x 1'"),
         ("p cnf 2 1.5\n1 0\n", "line 1: malformed header 'p cnf 2 1.5'"),
+        ("p cnf 1_0 1\n1_0 -2 0\n", "line 1: malformed header 'p cnf 1_0 1'"),
         ("p cnf -1 1\n", "line 1: negative counts in header"),
         ("p cnf 1 -1\n", "line 1: negative counts in header"),
         ("c only a comment\n", "line 1: missing 'p cnf' header"),
@@ -91,9 +95,14 @@ class TestParse:
         with pytest.raises(DimacsError, match="before"):
             parse_dimacs("1 0\np cnf 1 1\n")
 
-    def test_non_integer_token(self):
-        with pytest.raises(DimacsError, match="non-integer"):
-            parse_dimacs("p cnf 1 1\nx 0\n")
+    @pytest.mark.parametrize("text,message", [
+        ("p cnf 1 1\nx 0\n", "line 2: non-integer token 'x'"),
+        ("p cnf 10 1\n1_0 -2 0\n", "line 2: non-integer token '1_0'"),
+    ])
+    def test_non_integer_token(self, text, message):
+        with pytest.raises(DimacsError) as exc:
+            parse_dimacs(text)
+        assert str(exc.value) == message
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -18,11 +18,11 @@ def counts(outcome: SolveOutcome):
 
 
 class TestBasics:
-    def test_empty_clause_list_is_sat_with_zero_counts(self):
-        out = solve(Cnf(3, ()), [0.0, 0.0, 0.0])
-        assert out.verdict == "sat"
-        assert (out.conflicts, out.decisions, out.propagations) == (0, 0, 0)
-        assert out.model == {1: False, 2: False, 3: False}
+    @pytest.mark.parametrize("clauses", [(), ((1,), (1, 2)), ((), (1, 2))],
+                             ids=["no clauses", "unit clause", "empty clause"])
+    def test_unreduced_formula_refused(self, clauses):
+        with pytest.raises(ValueError, match="formula that preprocess_bcp reduced"):
+            solve(Cnf(3, clauses), [0.0, 0.0, 0.0])
 
     def test_all_four_assignments_excluded(self):
         cnf = Cnf.from_lists(2, [[1, 2], [-1, 2], [1, -2], [-1, -2]])
@@ -215,8 +215,8 @@ class TestConfigKnobs:
 
 
 class TestConfigMatrix:
-    # Unusual parameter corners must stay sound and complete, including on
-    # raw inputs that still contain unit clauses.
+    # Unusual parameter corners must stay sound and complete on raw inputs
+    # with unit clauses, run through the pipeline as cmd_solve runs them.
     # (config, overrides of solver.SCHEDULE)
     CONFIGS = [
         (SolverConfig(restart_first=1, rng_seed=1), {"restart_factor": 1.1}),
@@ -228,14 +228,24 @@ class TestConfigMatrix:
     def test_oracle_agreement_on_raw_inputs(self, config_idx):
         config, schedule = self.CONFIGS[config_idx]
         rng = SplitMix64(4000 + config_idx)
+        searched = 0
         for trial in range(40):
-            cnf = make_random_cnf(rng, 3 + rng.randrange(9),
+            raw = make_random_cnf(rng, 3 + rng.randrange(9),
                                   1 + rng.randrange(26), min_width=1, max_width=4)
-            with mock.patch.dict(solver.SCHEDULE, schedule):
-                out = solve(cnf, [0.0] * cnf.num_vars, config)
-            assert (out.verdict == "sat") == truth_table_satisfiable(cnf)
-            if out.verdict == "sat":
-                assert model_satisfies(cnf, out.model)
+            reduced, verdict, forced = preprocess_bcp(raw)
+            model = dict.fromkeys(range(1, raw.num_vars + 1), False)
+            sat = verdict == "satisfied"
+            if verdict == "reduced":
+                searched += 1
+                with mock.patch.dict(solver.SCHEDULE, schedule):
+                    out = solve(reduced, [0.0] * reduced.num_vars, config)
+                sat = out.verdict == "sat"
+                model.update(out.model or {})
+            assert sat == truth_table_satisfiable(raw)
+            if sat:
+                model.update((abs(lit), lit > 0) for lit in forced)
+                assert model_satisfies(raw, model)
+        assert searched >= 10
 
 
 class TestSchedule:
