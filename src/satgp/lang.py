@@ -17,8 +17,10 @@ clause/literal terminals (ln, lp, lc, cs, xs, ls, ic, il).  All function
 return values and register writes are clamped to [-1e6, 1e6], and division
 by anything smaller in magnitude than 1e-9 returns the positive or
 negative limit according to the numerator's sign (sign of 0 counts as
-positive).  Every function is total, so evaluation cannot fail at runtime,
-and an InitProgram checks its trees when made, so the evaluators need not.
+positive).  Every function is total, so evaluation cannot fail at runtime.
+An InitProgram checks its trees when made, the MAX_NESTING depth limit
+included, so the evaluators need not, and every program prints to text
+that parse_program reads back.
 
 Each primitive is defined once: the terminals in TERMINALS_BY_FRAGMENT,
 the functions in two evaluation tables, _WRITERS (the seven register
@@ -112,48 +114,54 @@ def subtree_at(tree: Node, index: int) -> Node:
 
 
 def replace_subtree(tree: Node, index: int, donor: Node) -> Node:
-    """Return a copy of `tree` with the node at preorder `index` replaced."""
+    """Return `tree` with the subtree at preorder `index` replaced by donor.
+    Only the path from the root to `index` is rebuilt; the rest is shared."""
+    if index == 0:
+        return donor
+    index -= 1
+    for i, child in enumerate(tree.children):
+        size = node_count(child)
+        if index < size:
+            new_child = replace_subtree(child, index, donor)
+            return Node(tree.kind, tree.children[:i] + (new_child,) + tree.children[i + 1:])
+        index -= size
+    raise IndexError(index)
 
-    def rebuild(node: Node, pos: int) -> tuple[Node, int]:
-        if pos == index:
-            return donor, pos + node_count(node)
-        nxt = pos + 1
-        if not node.children:
-            return node, nxt
-        new_children = []
-        changed = False
-        for child in node.children:
-            new_child, nxt = rebuild(child, nxt)
-            changed = changed or new_child is not child
-            new_children.append(new_child)
-        if not changed:
-            return node, nxt
-        return Node(node.kind, tuple(new_children)), nxt
 
-    result, _ = rebuild(tree, 0)
-    return result
+# Deepest program accepted, in tree depth and in the text's nested operands;
+# GP trees stay far below it (CROSSOVER_MAX_DEPTH is 17).  Deeper trees could
+# exhaust Python's recursion limit in the parser, printer or evaluators.
+MAX_NESTING = 100
+_TOO_DEEP = f"program nested deeper than {MAX_NESTING} levels"
 
 
 def validate_tree(tree: Node, fragment: str) -> None:
-    """Check arities and fragment terminal restrictions; raise on violation."""
+    """Check arities, the fragment's terminals and at most MAX_NESTING levels,
+    level by level without recursion; raise ProgramSyntaxError on violation."""
     legal_terminals = TERMINALS_BY_FRAGMENT[fragment]
-    for node in iter_nodes(tree):
-        if node.kind in FUNCTIONS:
-            arity = FUNCTIONS[node.kind]
-            if len(node.children) != arity:
-                raise ProgramSyntaxError(
-                    f"{node.kind} expects {arity} argument(s), got {len(node.children)}"
-                )
-        elif node.kind in TERMINALS_BY_FRAGMENT["in"]:
-            if node.children:
-                raise ProgramSyntaxError(f"terminal {node.kind} cannot take arguments")
-            if node.kind not in legal_terminals:
-                raise ProgramSyntaxError(
-                    f"terminal {node.kind} is only available inside IN,"
-                    f" not in {fragment.upper()}"
-                )
-        else:
-            raise ProgramSyntaxError(f"unknown symbol {node.kind!r}")
+    level = [tree]
+    for _ in range(MAX_NESTING):
+        for node in level:
+            if node.kind in FUNCTIONS:
+                arity = FUNCTIONS[node.kind]
+                if len(node.children) != arity:
+                    raise ProgramSyntaxError(
+                        f"{node.kind} expects {arity} argument(s), got {len(node.children)}"
+                    )
+            elif node.kind in TERMINALS_BY_FRAGMENT["in"]:
+                if node.children:
+                    raise ProgramSyntaxError(f"terminal {node.kind} cannot take arguments")
+                if node.kind not in legal_terminals:
+                    raise ProgramSyntaxError(
+                        f"terminal {node.kind} is only available inside IN,"
+                        f" not in {fragment.upper()}"
+                    )
+            else:
+                raise ProgramSyntaxError(f"unknown symbol {node.kind!r}")
+        level = [child for node in level for child in node.children]
+        if not level:
+            return
+    raise ProgramSyntaxError(_TOO_DEEP)
 
 
 @dataclass(frozen=True)
@@ -174,9 +182,7 @@ class InitProgram:
         return node_count(self.pre) + node_count(self.in_loop) + node_count(self.post)
 
     def fragments(self):
-        yield "pre", self.pre
-        yield "in", self.in_loop
-        yield "post", self.post
+        return zip(FRAGMENT_NAMES, (self.pre, self.in_loop, self.post))
 
 
 class Registers:
@@ -584,13 +590,6 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-# Deepest program text accepted, in nested operands and in tree depth; GP
-# trees stay far below it (CROSSOVER_MAX_DEPTH is 17).  Deeper text could
-# exhaust Python's recursion limit in the parser, printer or evaluators.
-MAX_NESTING = 100
-_TOO_DEEP = f"program nested deeper than {MAX_NESTING} levels"
-
-
 class _ExprParser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
@@ -679,8 +678,8 @@ def parse_program(text: str) -> InitProgram:
     Fragments are labeled PRE / IN / POST (the *_LOOP_CODE long forms are
     accepted too) followed by ':' or '=' and an expression; fragments are
     separated by '/' or simply by the next label.  Missing or empty ('{}')
-    fragments default to the terminal 0.  Loop-only terminals are rejected
-    outside IN.
+    fragments default to the terminal 0.  Fragments are parsed in text
+    order, then InitProgram checks the trees (terminals, arities, depth).
     """
     # Locate fragment labels without tokenizing the whole text first, so
     # that '/' may act as a separator.
@@ -691,32 +690,21 @@ def parse_program(text: str) -> InitProgram:
     if head:
         raise ProgramSyntaxError(f"unexpected text before first label: {head!r}")
 
-    found: dict[str, str] = {}
+    trees: dict[str, Node] = {}
     ends = [m.start() for m in labels[1:]] + [len(text)]
     for label, body_end in zip(labels, ends):
         fragment = _LABEL_ALIASES[label[1].upper()]
-        body = text[label.end() : body_end].strip()
-        body = body.rstrip("/").strip()  # '/' separates fragments
-        if fragment in found:
+        if fragment in trees:
             raise ProgramSyntaxError(f"duplicate fragment {fragment.upper()}")
-        found[fragment] = body
-
-    trees = {}
-    for fragment in FRAGMENT_NAMES:
-        body = found.get(fragment, "")
+        body = text[label.end() : body_end].strip().rstrip("/").strip()  # '/' separates fragments
         if body in ("", "{}"):
             trees[fragment] = ZERO
             continue
         parser = _ExprParser(_tokenize(body))
-        tree = _fold_sequence(parser.parse_list())
+        trees[fragment] = _fold_sequence(parser.parse_list())
         if parser.peek() is not None:
-            raise ProgramSyntaxError(
-                f"trailing tokens in {fragment.upper()}: {parser.peek()!r}"
-            )
-        if tree_depth(tree) > MAX_NESTING:  # long infix chains or sequences
-            raise ProgramSyntaxError(_TOO_DEEP)
-        trees[fragment] = tree
-    return InitProgram(pre=trees["pre"], in_loop=trees["in"], post=trees["post"])
+            raise ProgramSyntaxError(f"trailing tokens in {fragment.upper()}: {parser.peek()!r}")
+    return InitProgram(*(trees.get(fragment, ZERO) for fragment in FRAGMENT_NAMES))
 
 
 def _print_expr(node: Node, parent_prec: int = 0, right_side: bool = False) -> str:

@@ -28,6 +28,7 @@ from satgp.lang import (
     preset_program,
     print_program,
     reference_compute_activities,
+    replace_subtree,
     tree_depth,
 )
 from satgp.rng import SplitMix64
@@ -771,3 +772,55 @@ class TestTreeUtilities:
     def test_depth_of_terminal_is_one(self):
         assert tree_depth(Node("0")) == 1
         assert tree_depth(Node("neg", (Node("1"),))) == 2
+
+    @staticmethod
+    def _neg_chain(depth: int) -> Node:
+        tree = Node("lc")
+        for _ in range(depth - 1):
+            tree = Node("neg", (tree,))
+        return tree
+
+    def test_nesting_limit_is_a_program_rule(self):
+        # A program is made only if its printed text parses back, so trees
+        # built from Nodes obey the same depth limit as parsed text.
+        prog = InitProgram(in_loop=self._neg_chain(MAX_NESTING))
+        assert tree_depth(prog.in_loop) == MAX_NESTING
+        assert parse_program(print_program(prog)) == prog
+        # 3000 levels lie beyond Python's recursion limit: the check walks
+        # level by level, so it refuses the tree instead of overflowing.
+        for depth in (MAX_NESTING + 1, 3000):
+            with pytest.raises(ProgramSyntaxError, match="nested deeper than"):
+                InitProgram(in_loop=self._neg_chain(depth))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_replace_subtree_rebuilds_only_the_path(self, seed):
+        rng = SplitMix64(seed)
+        tree = random_tree(rng, "in", 2 + rng.randrange(5), "grow")
+        donor = random_tree(rng, "in", 1 + rng.randrange(3), "grow")
+
+        def naive(node: Node, pos: list[int], index: int) -> Node:
+            """Copy every node, counting preorder positions in pos[0]."""
+            pos[0] += 1
+            if pos[0] - 1 == index:
+                pos[0] += node_count(node) - 1
+                return donor
+            return Node(node.kind, tuple(naive(c, pos, index) for c in node.children))
+
+        def paths(node: Node, path=()):
+            yield path
+            for k, child in enumerate(node.children):
+                yield from paths(child, path + (k,))
+
+        for index, path in enumerate(paths(tree)):
+            new = replace_subtree(tree, index, donor)
+            assert new == naive(tree, [0], index)
+            old = tree
+            for step in path:
+                for k, (a, b) in enumerate(zip(old.children, new.children)):
+                    assert k == step or a is b
+                old, new = old.children[step], new.children[step]
+            assert new is donor
+        assert index == node_count(tree) - 1
+        with pytest.raises(IndexError):
+            replace_subtree(tree, node_count(tree), donor)
