@@ -9,12 +9,18 @@ Cnf objects are safe to share between threads and processes.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 from itertools import chain
 
 from .rng import SplitMix64
 
 logger = logging.getLogger(__name__)
+
+# Counts and literals, separated by white space, each an optional minus and
+# ASCII digits: int() alone would also read "+1", "1_0" and non-ASCII digits.
+_INTEGERS = re.compile(r"-?[0-9]+(?:\s+-?[0-9]+)*").fullmatch
+
 
 class DimacsError(ValueError):
     """Raised on malformed DIMACS input; message names the line number."""
@@ -96,26 +102,19 @@ def parse_dimacs(source) -> Cnf:
             if num_vars is not None:
                 raise DimacsError(line_no, "duplicate header")
             parts = line.split()
-            # int() reads 1_0 as 10, so no count or literal may hold a "_".
-            if len(parts) != 4 or parts[1] != "cnf" or "_" in line:
+            if len(parts) != 4 or parts[1] != "cnf" or not all(map(_INTEGERS, parts[2:])):
                 raise DimacsError(line_no, f"malformed header {line!r}")
-            try:
-                num_vars = int(parts[2])
-                declared_clauses = int(parts[3])
-            except ValueError:
-                raise DimacsError(line_no, f"malformed header {line!r}") from None
+            num_vars, declared_clauses = int(parts[2]), int(parts[3])
             if num_vars < 0 or declared_clauses < 0:
                 raise DimacsError(line_no, "negative counts in header")
             continue
         if num_vars is None:
             raise DimacsError(line_no, "clause data before 'p cnf' header")
+        whole = _INTEGERS(line)  # tokens are matched alone only on a bad line
         for tok in line.split():
-            if "_" in tok:
+            if not (whole or _INTEGERS(tok)):
                 raise DimacsError(line_no, f"non-integer token {tok!r}")
-            try:
-                lit = int(tok)
-            except ValueError:
-                raise DimacsError(line_no, f"non-integer token {tok!r}") from None
+            lit = int(tok)
             if lit == 0:
                 encountered_clauses += 1
                 clause = _clean_clause(current)

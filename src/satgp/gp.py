@@ -73,6 +73,9 @@ class GpConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("population_size", "generations", "rng_seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.generations < 0:
             raise ValueError("generations must be >= 0")
         if self.population_size < 2:
@@ -431,9 +434,11 @@ def run_evolution(
     returns the best purely random individual; the last generation run is
     log[-1].generation.  population / start_generation / rng allow
     resuming from a checkpoint; a resumed run continues the exact random
-    stream of an uninterrupted one.  A given population and rng are
-    advanced in place, so after the call they are the state to checkpoint,
-    and the returned best is an element of the population list.
+    stream of an uninterrupted one.  A population needs its rng: one made
+    here from config.rng_seed would replay the draws that created it.  A
+    given population and rng are advanced in place, so after the call they
+    are the state to checkpoint, and the returned best is an element of the
+    population list.
 
     Generation 0 is one evaluate call on the population, and every later
     evaluation one per child.  All of them share one EvalMemo: the given
@@ -441,6 +446,8 @@ def run_evolution(
     memo: one kept across runs on the same case set would make later runs
     nearly free.
     """
+    if population is not None and rng is None:
+        raise ValueError("a population needs the rng that continues its stream")
     if population is not None and len(population) != config.population_size:
         raise ValueError(
             f"population has {len(population)} individuals,"

@@ -137,7 +137,8 @@ _TOO_DEEP = f"program nested deeper than {MAX_NESTING} levels"
 
 def validate_tree(tree: Node, fragment: str) -> None:
     """Check arities, the fragment's terminals and at most MAX_NESTING levels,
-    level by level without recursion; raise ProgramSyntaxError on violation."""
+    level by level without recursion; raise ProgramSyntaxError on violation.
+    So every program prints to text that parse_program reads back."""
     legal_terminals = TERMINALS_BY_FRAGMENT[fragment]
     level = [tree]
     for _ in range(MAX_NESTING):

@@ -78,6 +78,9 @@ class SolverConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("restart_first", "rng_seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if not 0.0 < self.var_decay < 1.0:
             raise ValueError("var_decay must be in (0, 1)")
         if not 0.0 <= self.random_decision_freq < 1.0:

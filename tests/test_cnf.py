@@ -81,6 +81,8 @@ class TestParse:
         ("p cnf x 1\n1 0\n", "line 1: malformed header 'p cnf x 1'"),
         ("p cnf 2 1.5\n1 0\n", "line 1: malformed header 'p cnf 2 1.5'"),
         ("p cnf 1_0 1\n1_0 -2 0\n", "line 1: malformed header 'p cnf 1_0 1'"),
+        ("p cnf \u0661 1\n\u0661 0\n", "line 1: malformed header 'p cnf \u0661 1'"),
+        ("p cnf +2 1\n1 0\n", "line 1: malformed header 'p cnf +2 1'"),
         ("p cnf -1 1\n", "line 1: negative counts in header"),
         ("p cnf 1 -1\n", "line 1: negative counts in header"),
         ("c only a comment\n", "line 1: missing 'p cnf' header"),
@@ -98,6 +100,8 @@ class TestParse:
     @pytest.mark.parametrize("text,message", [
         ("p cnf 1 1\nx 0\n", "line 2: non-integer token 'x'"),
         ("p cnf 10 1\n1_0 -2 0\n", "line 2: non-integer token '1_0'"),
+        ("p cnf 1 1\n\u0661 0\n", "line 2: non-integer token '\u0661'"),
+        ("p cnf 2 1\n+1 -2 0\n", "line 2: non-integer token '+1'"),
     ])
     def test_non_integer_token(self, text, message):
         with pytest.raises(DimacsError) as exc:

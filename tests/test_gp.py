@@ -52,6 +52,10 @@ class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("generations", -2),
         ("population_size", 1),
+        ("population_size", 2.5),
+        ("generations", 1.5),
+        ("generations", True),
+        ("rng_seed", 1.0),
     ])
     def test_bad_config_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -587,6 +591,15 @@ class TestCheckpoint:
     def test_population_of_other_size_refused(self):
         cases = small_cases()
         config = small_config(population_size=6, generations=1)
-        population = create_initial_population(small_config(population_size=4))
+        rng = SplitMix64(config.rng_seed)
+        population = create_initial_population(small_config(population_size=4), rng)
         with pytest.raises(ValueError, match="population has 4 individuals"):
+            run_evolution(cases, config, population=population, rng=rng)
+
+    def test_population_without_rng_refused(self):
+        # A fresh rng from config.rng_seed would replay the creation draws.
+        cases = small_cases()
+        config = small_config(population_size=6, generations=1)
+        population = create_initial_population(config)
+        with pytest.raises(ValueError, match="population needs the rng"):
             run_evolution(cases, config, population=population)

@@ -52,6 +52,9 @@ class TestBasics:
         ("random_decision_freq", -0.1, "random_decision_freq must be in"),
         ("random_decision_freq", 1.0, "random_decision_freq must be in"),
         ("restart_first", 0, "restart_first must be >= 1"),
+        ("restart_first", 2.5, "restart_first must be an int"),
+        ("rng_seed", 1.5, "rng_seed must be an int"),
+        ("rng_seed", True, "rng_seed must be an int"),
     ])
     def test_bad_config_refused_when_made(self, field, value, message):
         with pytest.raises(ValueError, match=message):
