@@ -102,7 +102,7 @@ def parse_dimacs(source) -> Cnf:
             if num_vars is not None:
                 raise DimacsError(line_no, "duplicate header")
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf" or not all(map(_INTEGERS, parts[2:])):
+            if len(parts) != 4 or parts[:2] != ["p", "cnf"] or not all(map(_INTEGERS, parts[2:])):
                 raise DimacsError(line_no, f"malformed header {line!r}")
             num_vars, declared_clauses = int(parts[2]), int(parts[3])
             if num_vars < 0 or declared_clauses < 0:

@@ -19,14 +19,15 @@ instead.  The child replaces the loser of an inverse tournament, with the
 population's current best individual protected from replacement.  Copies
 reuse the parent's solver statistics: evaluation is deterministic.
 
-Each run_evolution call keeps an exact two-level evaluation memo
-(EvalMemo): a program text seen before skips the interpreter, and an
-initialization seen before on a case skips the solver.  It serves one
-run only (made there, or handed in fresh by a caller that reads its
-counters), so every run does the work of a fresh one.  All fitness goes
-through evaluate, which scores a population: it runs the interpreter on
-the new programs, then one search per new (case, init), each phase through
-harness.map_shared; results and counters never depend on the worker count.
+run_evolution advances the population and rng its caller made.  Each
+call keeps an exact two-level evaluation memo (EvalMemo): a program text
+seen before skips the interpreter, and an initialization seen before on
+a case skips the solver.  It serves one run only (made there, or handed
+in fresh by a caller that reads its counters), so every run does the
+work of a fresh one.  All fitness goes through evaluate, which scores a
+population: it runs the interpreter on the new programs, then one search
+per new (case, init), each phase through harness.map_shared; results and
+counters never depend on the worker count.
 """
 
 from __future__ import annotations
@@ -420,43 +421,33 @@ def _record(generation: int, population) -> GenerationRecord:
 def run_evolution(
     cases: FitnessCaseSet,
     config: GpConfig,
+    population,
+    rng: SplitMix64,
     on_child=None,
     jobs: int = 1,
-    population=None,
     start_generation: int = 0,
-    rng: SplitMix64 | None = None,
     memo: EvalMemo | None = None,
 ):
-    """Create, evaluate and evolve a population.
+    """Evaluate and evolve the population and rng the caller made, in place.
 
-    Returns (best individual, list of GenerationRecord).  Record 0
-    describes the evaluated random population; generations=0 therefore
-    returns the best purely random individual; the last generation run is
-    log[-1].generation.  population / start_generation / rng allow
-    resuming from a checkpoint; a resumed run continues the exact random
-    stream of an uninterrupted one.  A population needs its rng: one made
-    here from config.rng_seed would replay the draws that created it.  A
-    given population and rng are advanced in place, so after the call they
-    are the state to checkpoint, and the returned best is an element of the
-    population list.
+    Returns (best individual, list of GenerationRecord), where log[0]
+    describes the evaluated population at start_generation.  A fresh run
+    passes rng = SplitMix64(config.rng_seed) and
+    create_initial_population(config, rng); a resumed run passes what
+    load_checkpoint returned and its start_generation, and continues the
+    exact random stream of an uninterrupted one.  After the call the two
+    are the state to checkpoint, and best is an element of the population.
 
-    Generation 0 is one evaluate call on the population, and every later
-    evaluation one per child.  All of them share one EvalMemo: the given
-    one, whose counters then tally the run, or one made here.  Pass a fresh
-    memo: one kept across runs on the same case set would make later runs
-    nearly free.
+    The population is scored by one evaluate call and each new child by
+    one more, all through one EvalMemo: the given one, whose counters then
+    tally the run, or one made here.  Pass a fresh memo: one kept across
+    runs on the same case set would make later runs nearly free.
     """
-    if population is not None and rng is None:
-        raise ValueError("a population needs the rng that continues its stream")
-    if population is not None and len(population) != config.population_size:
+    if len(population) != config.population_size:
         raise ValueError(
             f"population has {len(population)} individuals,"
             f" population_size is {config.population_size}"
         )
-    if rng is None:
-        rng = SplitMix64(config.rng_seed)
-    if population is None:
-        population = create_initial_population(config, rng)
     if memo is None:
         memo = EvalMemo()
     evaluate(population, cases, jobs=jobs, memo=memo)

@@ -242,13 +242,14 @@ def test_criterion_08_gp_mechanics():
                 assert tree_depth(tree) <= limit
             audited.append(child)
 
-        initial = create_initial_population(config)
+        rng = SplitMix64(config.rng_seed)
+        initial = create_initial_population(config, rng)
         for ind in initial:
             for fragment, tree in ind.program.fragments():
                 validate_tree(tree, fragment)
                 assert tree_depth(tree) <= CREATION_MAX_DEPTH
 
-        best, log = run_evolution(cases, config, on_child=audit)
+        best, log = run_evolution(cases, config, initial, rng, on_child=audit)
         elapsed = time.perf_counter() - start
         assert elapsed < 600.0, f"run took {elapsed:.0f}s"
         assert len(audited) == config.population_size * config.generations

@@ -83,6 +83,7 @@ class TestParse:
         ("p cnf 1_0 1\n1_0 -2 0\n", "line 1: malformed header 'p cnf 1_0 1'"),
         ("p cnf \u0661 1\n\u0661 0\n", "line 1: malformed header 'p cnf \u0661 1'"),
         ("p cnf +2 1\n1 0\n", "line 1: malformed header 'p cnf +2 1'"),
+        ("pxyz cnf 1 1\n1 0\n", "line 1: malformed header 'pxyz cnf 1 1'"),
         ("p cnf -1 1\n", "line 1: negative counts in header"),
         ("p cnf 1 -1\n", "line 1: negative counts in header"),
         ("c only a comment\n", "line 1: missing 'p cnf' header"),

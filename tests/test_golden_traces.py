@@ -24,9 +24,10 @@ from pathlib import Path
 from unittest import mock
 
 from satgp.cnf import compute_var_stats, preprocess_bcp, random_3sat
-from satgp.gp import FitnessCaseSet, GpConfig, run_evolution
+from satgp.gp import FitnessCaseSet, GpConfig, create_initial_population, run_evolution
 from satgp.harness import bundled_cnf, random_init
 from satgp.lang import PRESETS, compute_activities, preset_program
+from satgp.rng import SplitMix64
 from satgp.solver import SCHEDULE, SolverConfig, solve
 
 GOLDEN_FILE = Path(__file__).with_name("golden_traces.json")
@@ -83,9 +84,9 @@ def test_solve_trace(seed, init_name):
 def tiny_evolution():
     """(best fitness, best per-case counts, log rows) of the pinned run."""
     cases = FitnessCaseSet.from_cnfs([("bundled", bundled_cnf())], SolverConfig())
-    best, log = run_evolution(
-        cases, GpConfig(population_size=20, generations=2, rng_seed=3)
-    )
+    config = GpConfig(population_size=20, generations=2, rng_seed=3)
+    rng = SplitMix64(config.rng_seed)
+    best, log = run_evolution(cases, config, create_initial_population(config, rng), rng)
     return best.fitness, best.per_case, [dataclasses.astuple(rec) for rec in log]
 
 

@@ -48,6 +48,12 @@ def small_config(**overrides) -> GpConfig:
     return GpConfig(**base)
 
 
+def fresh_run(cases, config, **kwargs):
+    """run_evolution on the population and rng that config.rng_seed makes."""
+    rng = SplitMix64(config.rng_seed)
+    return run_evolution(cases, config, create_initial_population(config, rng), rng, **kwargs)
+
+
 class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("generations", -2),
@@ -70,7 +76,7 @@ class TestConfig:
 
     def test_small_population_evolves(self):
         config = GpConfig(population_size=4, generations=2, rng_seed=3)
-        best, log = run_evolution(small_cases(), config)
+        best, log = fresh_run(small_cases(), config)
         assert [rec.generation for rec in log] == [0, 1, 2]
         assert best.fitness == log[-1].best_fitness
 
@@ -292,7 +298,7 @@ class TestMemo:
         counts = []
         for _ in range(2):
             memo = EvalMemo()
-            run_evolution(cases, config, memo=memo)
+            fresh_run(cases, config, memo=memo)
             counts.append((len(calls), memo.searches))
             calls.clear()
         assert counts[0] == counts[1]
@@ -449,29 +455,29 @@ class TestRunEvolution:
     def test_generations_zero_returns_best_of_random(self):
         cases = small_cases()
         config = small_config(generations=0, population_size=10)
-        best, log = run_evolution(cases, config)
+        best, log = fresh_run(cases, config)
         assert len(log) == 1 and log[0].generation == 0
         assert best.fitness == log[0].best_fitness
 
     def test_deterministic_rerun(self):
         cases = small_cases()
         config = small_config(population_size=10, generations=2)
-        best_a, log_a = run_evolution(cases, config)
-        best_b, log_b = run_evolution(cases, config)
+        best_a, log_a = fresh_run(cases, config)
+        best_b, log_b = fresh_run(cases, config)
         assert log_a == log_b
         assert print_program(best_a.program) == print_program(best_b.program)
 
     def test_best_fitness_non_increasing(self):
         cases = small_cases()
         config = small_config(population_size=12, generations=3)
-        _, log = run_evolution(cases, config)
+        _, log = fresh_run(cases, config)
         series = [rec.best_fitness for rec in log]
         assert all(b <= a for a, b in zip(series, series[1:]))
 
     def test_best_reevaluates_to_same_fitness(self):
         cases = small_cases()
         config = small_config(population_size=10, generations=1)
-        best, _ = run_evolution(cases, config)
+        best, _ = fresh_run(cases, config)
         fresh = Individual(best.program)
         evaluate([fresh], cases)
         assert fresh.fitness == best.fitness
@@ -501,8 +507,8 @@ class TestRunEvolution:
         for name in ("compute_activities", "solve"):
             monkeypatch.setattr(gp, name, guarded(name, getattr(gp, name)))
         children = []
-        run_evolution(small_cases(), small_config(population_size=10, generations=2),
-                      on_child=children.append)
+        fresh_run(small_cases(), small_config(population_size=10, generations=2),
+                  on_child=children.append)
         new = [c for c in children if c.origin != "copy"]
         # one call for generation 0, then one per new child
         assert counts["evaluate"] == 1 + len(new) > 1
@@ -511,7 +517,7 @@ class TestRunEvolution:
     def test_resume_matches_uninterrupted(self):
         cases = small_cases()
         full_config = small_config(population_size=10, generations=3)
-        _, log_full = run_evolution(cases, full_config)
+        _, log_full = fresh_run(cases, full_config)
 
         part_config = small_config(population_size=10, generations=2)
         rng = SplitMix64(part_config.rng_seed)
@@ -595,11 +601,3 @@ class TestCheckpoint:
         population = create_initial_population(small_config(population_size=4), rng)
         with pytest.raises(ValueError, match="population has 4 individuals"):
             run_evolution(cases, config, population=population, rng=rng)
-
-    def test_population_without_rng_refused(self):
-        # A fresh rng from config.rng_seed would replay the creation draws.
-        cases = small_cases()
-        config = small_config(population_size=6, generations=1)
-        population = create_initial_population(config)
-        with pytest.raises(ValueError, match="population needs the rng"):
-            run_evolution(cases, config, population=population)

@@ -317,3 +317,8 @@ class TestRandomInit:
         assert config_hash(SolverConfig()) == "5a707cdfcdbbbaa3"
         assert config_hash(SolverConfig(rng_seed=1)) == "740788ce425004a0"
         assert config_hash(SolverConfig(var_decay=0.9)) == "db57cf23e8c7bfe3"
+
+    @pytest.mark.parametrize("zero", [0, 0.0, -0.0])
+    def test_equal_configs_hash_alike(self, zero):
+        # 0 and -0.0 used to hash apart from 0.0, which --random-freq 0 builds.
+        assert config_hash(SolverConfig(random_decision_freq=zero)) == "16c3481950a51d44"

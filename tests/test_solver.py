@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -49,8 +50,10 @@ class TestBasics:
     @pytest.mark.parametrize("field,value,message", [
         ("var_decay", 0.0, "var_decay must be in"),
         ("var_decay", 1.0, "var_decay must be in"),
+        ("var_decay", Fraction(1, 2), "var_decay must be an int or a float"),
         ("random_decision_freq", -0.1, "random_decision_freq must be in"),
         ("random_decision_freq", 1.0, "random_decision_freq must be in"),
+        ("random_decision_freq", False, "random_decision_freq must be an int or a float"),
         ("restart_first", 0, "restart_first must be >= 1"),
         ("restart_first", 2.5, "restart_first must be an int"),
         ("rng_seed", 1.5, "rng_seed must be an int"),
