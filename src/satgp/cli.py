@@ -29,6 +29,7 @@ from pathlib import Path
 
 from . import __version__
 from .cnf import (
+    check_int,
     check_model,
     preprocess_bcp,
     random_3sat,
@@ -347,9 +348,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    for flag, value in (("--clauses", args.clauses), ("--count", args.count)):
-        if value < 0:
-            raise ValueError(f"{flag} must be >= 0, got {value}")
+    check_int("--clauses", args.clauses, 0)
+    check_int("--count", args.count, 0)
     artifacts = {}
     for seed in range(args.seed, args.seed + args.count):
         cnf = random_3sat(args.vars, args.clauses, seed)

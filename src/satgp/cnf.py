@@ -22,6 +22,15 @@ logger = logging.getLogger(__name__)
 _INTEGERS = re.compile(r"-?[0-9]+(?:\s+-?[0-9]+)*").fullmatch
 
 
+def check_int(name: str, value, minimum: int | None = None) -> None:
+    """The API's integer rule: ValueError, naming `name`, unless value is an
+    int (not a bool or float) and at least minimum, when one is given."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 class DimacsError(ValueError):
     """Raised on malformed DIMACS input; message names the line number."""
 
@@ -32,16 +41,16 @@ class DimacsError(ValueError):
 
 @dataclass(frozen=True)
 class Cnf:
-    """A CNF formula: variable count plus an ordered clause list; num_vars < 0
-    or a literal that is not an int with 0 < abs(lit) <= num_vars raises ValueError."""
+    """A CNF formula: variable count plus an ordered clause list.  num_vars
+    must be an int >= 0 (see check_int) and every literal an int with
+    0 < abs(lit) <= num_vars; anything else raises ValueError."""
 
     num_vars: int
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         n = self.num_vars
-        if n < 0:
-            raise ValueError(f"num_vars is {n}, expected >= 0")
+        check_int("num_vars", n, 0)
         # Over every literal, not the union set, where 1.0 and True pass as 1.
         if set(map(type, chain.from_iterable(self.clauses))) - {int}:
             bad = next(c for c in self.clauses if any(type(lit) is not int for lit in c))
@@ -308,10 +317,8 @@ def random_3sat(num_vars: int, num_clauses: int, seed: int) -> Cnf:
     Each clause picks three distinct variables and random polarities, so
     clauses are tautology- and duplicate-literal-free by construction.
     """
-    if num_vars < 3:
-        raise ValueError("random_3sat needs at least 3 variables")
-    if num_clauses < 0:
-        raise ValueError(f"random_3sat needs num_clauses >= 0, got {num_clauses}")
+    check_int("num_vars", num_vars, 3)
+    check_int("num_clauses", num_clauses, 0)
     rng = SplitMix64(seed)
     clauses = []
     for _ in range(num_clauses):

@@ -37,7 +37,7 @@ import math
 import struct
 from dataclasses import dataclass, field, replace
 
-from .cnf import Cnf, VarStats, compute_var_stats, write_dimacs
+from .cnf import Cnf, VarStats, check_int, compute_var_stats, write_dimacs
 from .harness import config_hash, map_shared, searched_formula
 from .lang import (
     FUNCTIONS,
@@ -74,13 +74,9 @@ class GpConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("population_size", "generations", "rng_seed"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
-        if self.generations < 0:
-            raise ValueError("generations must be >= 0")
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
+        check_int("generations", self.generations, 0)
+        check_int("population_size", self.population_size, 2)
+        check_int("rng_seed", self.rng_seed)
 
 
 @dataclass
@@ -431,8 +427,8 @@ def run_evolution(
     """Evaluate and evolve the population and rng the caller made, in place.
 
     Returns (best individual, list of GenerationRecord), where log[0]
-    describes the evaluated population at start_generation.  A fresh run
-    passes rng = SplitMix64(config.rng_seed) and
+    describes the evaluated population at start_generation, an int >= 0.
+    A fresh run passes rng = SplitMix64(config.rng_seed) and
     create_initial_population(config, rng); a resumed run passes what
     load_checkpoint returned and its start_generation, and continues the
     exact random stream of an uninterrupted one.  After the call the two
@@ -443,6 +439,7 @@ def run_evolution(
     tally the run, or one made here.  Pass a fresh memo: one kept across
     runs on the same case set would make later runs nearly free.
     """
+    check_int("start_generation", start_generation, 0)
     if len(population) != config.population_size:
         raise ValueError(
             f"population has {len(population)} individuals,"
@@ -478,8 +475,9 @@ def save_checkpoint(population, generation: int, rng: SplitMix64, cases: Fitness
     the generation number and the RNG state, so a resumed run continues
     the exact random stream of an uninterrupted one, plus the population
     size, the solver-config hash and the digest of the fitness cases the
-    fitness values were measured on.
+    fitness values were measured on.  generation must be an int >= 0.
     """
+    check_int("generation", generation, 0)
     fields = {
         "generation": generation,
         "rng_state": rng.state,
@@ -507,12 +505,14 @@ def load_checkpoint(text: str, cases: FitnessCaseSet, population_size: int):
     was made for another population size, solver configuration or set of
     fitness cases, when a field or line is malformed or out of range
     (generation >= 0, rng_state < 2**64, a finite fitness >= 0), when a
-    header key repeats, and when its individuals do not match its header.
+    header key repeats or is not one save_checkpoint writes, and when its
+    individuals do not match its header.
     """
     lines = text.splitlines()
     header = lines[0] if lines else ""
     if not header.startswith("# generation="):
         raise ValueError("not a population checkpoint")
+    expected_fields = _checkpoint_fields(population_size, cases)
     fields: dict[str, str] = {}
     for part in header[2:].split():
         key, _, value = part.partition("=")
@@ -520,8 +520,10 @@ def load_checkpoint(text: str, cases: FitnessCaseSet, population_size: int):
             raise ValueError(f"checkpoint header part {key!r} has no value")
         if key in fields:
             raise ValueError(f"checkpoint header repeats {key!r}")
+        if key not in ("generation", "rng_state", *expected_fields):
+            raise ValueError(f"checkpoint header has unknown key {key!r}")
         fields[key] = value
-    for key, expected in _checkpoint_fields(population_size, cases).items():
+    for key, expected in expected_fields.items():
         if fields.get(key) != expected:
             raise ValueError(
                 f"checkpoint {key} is {fields.get(key, 'missing')},"

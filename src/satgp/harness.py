@@ -31,7 +31,7 @@ import os
 from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import partial
 
-from .cnf import Cnf, preprocess_bcp, random_3sat, reorder
+from .cnf import Cnf, check_int, preprocess_bcp, random_3sat, reorder
 from .lang import InitProgram, compute_activities, print_program
 from .rng import SplitMix64, spawn_seeds
 from .solver import SCHEDULE, SolveOutcome, SolverConfig, solve, solve_with_baseline
@@ -145,8 +145,9 @@ def map_shared(fn, shared, tasks, jobs: int = 1) -> list:
     module-level function; each worker gets its own copy of `shared`,
     which lives as long as the pool.  With one worker the tasks run inline
     and the pool modules are not imported; the first multi-worker call
-    imports them.
+    imports them.  jobs must be an int >= 1.
     """
+    check_int("jobs", jobs, 1)
     tasks = list(tasks)
     workers = pool_size(jobs, len(tasks))
     if workers == 1:
@@ -173,10 +174,9 @@ def _histogram_sample(shared, seed: int) -> tuple[int, int]:
 
 
 def check_histogram_args(samples: int, lo: float, hi: float) -> None:
-    """ValueError unless samples >= 1 and [lo, hi) is a finite range with
-    lo < hi (or the degenerate all-zero range 0:0)."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    """ValueError unless samples is an int >= 1 and [lo, hi) is a finite
+    range with lo < hi (or the degenerate all-zero range 0:0)."""
+    check_int("samples", samples, 1)
     if not lo < hi and not (lo == hi == 0.0):
         raise ValueError(f"range {lo}:{hi}: need lo < hi (or the degenerate all-zero range 0:0)")
     if not all(math.isfinite(x) for x in (lo, hi, hi - lo)):
@@ -199,11 +199,13 @@ def run_histogram(
     Sample i draws its activities from child seed i of master_seed (see
     rng.spawn_seeds), so replay_sample can re-run any sample later; a
     sample's bin is percent_bin of its conflicts.  Raises ValueError,
-    before any search, for arguments check_histogram_args refuses and for
-    a formula that preprocessing alone decides, and when the baseline
-    solves without conflicts, because percentages of zero are undefined.
+    before any search, for arguments check_histogram_args refuses, for
+    jobs that is not an int >= 1 and for a formula that preprocessing
+    alone decides, and when the baseline solves without conflicts,
+    because percentages of zero are undefined.
     """
     check_histogram_args(samples, lo, hi)
+    check_int("jobs", jobs, 1)
     cnf = searched_formula(cnf)
     baseline = solve_with_baseline(cnf, config)
     if baseline.conflicts == 0:

@@ -12,12 +12,14 @@ executed once per variable X:
     POST
     activity(X) = a0
 
-PRE and POST see only whole-formula terminals; IN additionally sees the
-clause/literal terminals (ln, lp, lc, cs, xs, ls, ic, il).  All function
-return values and register writes are clamped to [-1e6, 1e6], and division
-by anything smaller in magnitude than 1e-9 returns the positive or
-negative limit according to the numerator's sign (sign of 0 counts as
-positive).  Every function is total, so evaluation cannot fail at runtime.
+PRE and POST see X's occurrence counts (xn xp xc), the formula's counts
+(nv nc), the constants 0..4 and the registers (a0 v1 v2); IN additionally
+sees the clause/literal terminals (ln, lp, lc, cs, xs, ls, ic, il).  All
+function return values and register writes are clamped to [-1e6, 1e6],
+and division by anything smaller in magnitude than 1e-9 returns the
+positive or negative limit according to the numerator's sign (sign of 0
+counts as positive).  Every function is total, so evaluation cannot fail
+at runtime.
 An InitProgram checks its trees when made, the MAX_NESTING depth limit
 included, so the evaluators need not, and every program prints to text
 that parse_program reads back.

@@ -49,7 +49,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .cnf import Cnf, check_model
+from .cnf import Cnf, check_int, check_model
 from .lang import normalize
 from .rng import SplitMix64
 
@@ -79,22 +79,16 @@ class SolverConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("restart_first", "rng_seed"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
-        for name in ("var_decay", "random_decision_freq"):
+        check_int("restart_first", self.restart_first, 1)
+        check_int("rng_seed", self.rng_seed)
+        # Stored as floats, and -0.0 as 0.0, so that equal configs hash alike.
+        for name, zero_ok in (("var_decay", False), ("random_decision_freq", True)):
             value = getattr(self, name)
             if type(value) not in (int, float):
                 raise ValueError(f"{name} must be an int or a float, got {value!r}")
-        if not 0.0 < self.var_decay < 1.0:
-            raise ValueError("var_decay must be in (0, 1)")
-        if not 0.0 <= self.random_decision_freq < 1.0:
-            raise ValueError("random_decision_freq must be in [0, 1)")
-        # Stored as floats, and -0.0 as 0.0, so that equal configs hash alike.
-        for name in ("var_decay", "random_decision_freq"):
-            object.__setattr__(self, name, float(getattr(self, name)) + 0.0)
-        if self.restart_first < 1:
-            raise ValueError("restart_first must be >= 1")
+            if not (0.0 < value < 1.0 or zero_ok and value == 0.0):
+                raise ValueError(f"{name} must be in {'[' if zero_ok else '('}0, 1)")
+            object.__setattr__(self, name, float(value) + 0.0)
 
 
 @dataclass

@@ -652,21 +652,21 @@ class TestSolverFlags:
     @pytest.mark.parametrize("flag,message", [
         (["--var-decay", "1.5"], "var_decay must be in (0, 1)"),
         (["--random-freq", "1.0"], "random_decision_freq must be in [0, 1)"),
-        (["--restart-first", "0"], "restart_first must be >= 1"),
+        (["--restart-first", "0"], "restart_first must be >= 1, got 0"),
     ])
     def test_bad_flag_refused_up_front(self, workdir, capsys, argv, flag, message):
         self.assert_refused_up_front(workdir, capsys, argv + flag, message)
 
     @pytest.mark.parametrize("argv,message", [
-        (["histogram", "--samples", "0"], "samples must be >= 1"),
+        (["histogram", "--samples", "0"], "samples must be >= 1, got 0"),
         (["histogram", "--range", "zz"], "bad --range 'zz'; expected lo:hi"),
         (["histogram", "--samples", "0", "--range", "zz"], "bad --range 'zz'; expected lo:hi"),
         (["histogram", "--range", "1:0"],
          "range 1.0:0.0: need lo < hi (or the degenerate all-zero range 0:0)"),
         (["histogram", "--range", "0:inf"], "range 0.0:inf: lo, hi and hi - lo must be finite"),
-        (["evolve", "--pop", "1"], "population_size must be >= 2"),
-        (["evolve", "--gens", "-3"], "generations must be >= 0"),
-        (["evolve", "--pop", "1", "--gens", "-3"], "generations must be >= 0"),
+        (["evolve", "--pop", "1"], "population_size must be >= 2, got 1"),
+        (["evolve", "--gens", "-3"], "generations must be >= 0, got -3"),
+        (["evolve", "--pop", "1", "--gens", "-3"], "generations must be >= 0, got -3"),
         (["solve", "--init", "nonsense"],
          "unknown --init 'nonsense'; use zero, preset:<name> or file:<path>"),
         (["solve", "--init", "preset:nope"],

@@ -6,6 +6,7 @@ from conftest import make_random_cnf
 from satgp.cnf import (
     Cnf,
     DimacsError,
+    check_int,
     compute_var_stats,
     parse_dimacs,
     preprocess_bcp,
@@ -25,7 +26,9 @@ class TestCnf:
         (2, ((1.5, 2), (-1, -2)), r"clause \(1\.5, 2\) has a literal that is not an int"),
         (2, ((1, 2), (-1.0, -2)), r"clause \(-1\.0, -2\) has a literal that is not an int"),
         (2, ((True, 2), (-1, -2)), r"clause \(True, 2\) has a literal that is not an int"),
-        (-1, (), "num_vars is -1"),
+        (-1, (), "num_vars must be >= 0, got -1"),
+        (3.0, ((1, 2),), r"num_vars must be an int, got 3\.0"),
+        (True, ((1,), (1, -1)), "num_vars must be an int, got True"),
     ])
     def test_bad_formula_refused_when_made(self, num_vars, clauses, message):
         with pytest.raises(ValueError, match=message):
@@ -34,6 +37,24 @@ class TestCnf:
     def test_empty_formulas_accepted(self):
         assert Cnf(0, ()).num_clauses == 0
         assert Cnf(2, ((),)).clauses == ((),)
+
+
+class TestCheckInt:
+    @pytest.mark.parametrize("value,minimum", [(0, 0), (-5, None), (2**70, 1)])
+    def test_ints_accepted(self, value, minimum):
+        assert check_int("n", value, minimum) is None
+
+    @pytest.mark.parametrize("value", [True, False, 2.0, "2", None])
+    def test_non_ints_refused(self, value):
+        with pytest.raises(ValueError) as info:
+            check_int("n", value, 0)
+        assert str(info.value) == f"n must be an int, got {value!r}"
+
+    def test_value_below_minimum_refused(self):
+        with pytest.raises(ValueError) as info:
+            check_int("n", 2, 3)
+        assert str(info.value) == "n must be >= 3, got 2"
+        check_int("n", 3, 3)
 
 
 class TestParse:
@@ -239,11 +260,17 @@ class TestPreprocessBcp:
 
 
 class TestRandom3Sat:
-    def test_counts_refused(self):
-        with pytest.raises(ValueError, match="at least 3 variables"):
-            random_3sat(2, 5, seed=0)
-        with pytest.raises(ValueError, match="num_clauses >= 0, got -1"):
-            random_3sat(5, -1, seed=0)
+    @pytest.mark.parametrize("num_vars,num_clauses,message", [
+        (2, 5, "num_vars must be >= 3, got 2"),
+        (5, -1, "num_clauses must be >= 0, got -1"),
+        (3.5, 5, r"num_vars must be an int, got 3\.5"),
+        (5, 5.0, r"num_clauses must be an int, got 5\.0"),
+    ])
+    def test_counts_refused(self, num_vars, num_clauses, message):
+        with pytest.raises(ValueError, match=message):
+            random_3sat(num_vars, num_clauses, seed=0)
+
+    def test_no_clauses_accepted(self):
         assert random_3sat(5, 0, seed=0) == Cnf(5, ())
 
 

@@ -594,6 +594,37 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="repeats 'generation'"):
             load_checkpoint("\n".join(lines) + "\n", cases, 6)
 
+    def test_unknown_header_key_refused(self):
+        # A key that save_checkpoint never writes used to be ignored.
+        cases = small_cases()
+        lines = save_checkpoint(*evolved(cases), cases).splitlines()
+        lines[0] += " bogus=1"
+        with pytest.raises(ValueError, match="checkpoint header has unknown key 'bogus'"):
+            load_checkpoint("\n".join(lines) + "\n", cases, 6)
+
+    @pytest.mark.parametrize("generation,message", [
+        (-1, "generation must be >= 0, got -1"),
+        (1.0, r"generation must be an int, got 1\.0"),
+    ])
+    def test_bad_generation_not_saved(self, generation, message):
+        cases = small_cases()
+        population, _, rng = evolved(cases)
+        with pytest.raises(ValueError, match=message):
+            save_checkpoint(population, generation, rng, cases)
+
+    @pytest.mark.parametrize("start,message", [
+        (-2, "start_generation must be >= 0, got -2"),
+        (True, "start_generation must be an int, got True"),
+    ])
+    def test_bad_start_generation_refused_before_evaluation(self, monkeypatch, start, message):
+        monkeypatch.setattr(gp, "evaluate", lambda *args, **kwargs: pytest.fail("evaluated"))
+        cases = small_cases()
+        config = small_config(population_size=6, generations=1)
+        rng = SplitMix64(config.rng_seed)
+        population = create_initial_population(config, rng)
+        with pytest.raises(ValueError, match=message):
+            run_evolution(cases, config, population=population, rng=rng, start_generation=start)
+
     def test_population_of_other_size_refused(self):
         cases = small_cases()
         config = small_config(population_size=6, generations=1)

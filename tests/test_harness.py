@@ -89,7 +89,9 @@ class TestHistogram:
         assert [r.seed for r in report.rows] == spawn_seeds(42, 5)
 
     @pytest.mark.parametrize("samples,lo,hi,message", [
-        (0, 0.0, 1.0, "samples must be >= 1"),
+        (0, 0.0, 1.0, "samples must be >= 1, got 0"),
+        (True, 0.0, 1.0, "samples must be an int, got True"),
+        (2.0, 0.0, 1.0, r"samples must be an int, got 2\.0"),
         (5, 1.0, 0.5, "need lo < hi"),
     ])
     def test_bad_arguments_refused(self, samples, lo, hi, message):
@@ -160,6 +162,23 @@ class TestWorkerPool:
         assert map_shared(lambda shared, task: seen.append(task) or shared + task,
                           10, [3, 1, 2], jobs=1) == [13, 11, 12]
         assert seen == [3, 1, 2]
+
+    @pytest.mark.parametrize("jobs,message", [
+        (0, "jobs must be >= 1, got 0"),
+        (-3, "jobs must be >= 1, got -3"),
+        (2.5, r"jobs must be an int, got 2\.5"),
+        (True, "jobs must be an int, got True"),
+    ])
+    def test_bad_jobs_refused_before_any_work(self, monkeypatch, jobs, message):
+        def fail(*args):
+            raise AssertionError("ran after a bad jobs value")
+
+        monkeypatch.setattr(harness, "pool_size", fail)
+        monkeypatch.setattr(harness, "solve_with_baseline", fail)
+        with pytest.raises(ValueError, match=message):
+            map_shared(fail, None, [1, 2], jobs=jobs)
+        with pytest.raises(ValueError, match=message):
+            run_histogram(bundled_cnf(), 3, 0.0, 1.0, CONFIG, master_seed=1, jobs=jobs)
 
     def test_pool_modules_imported_only_when_a_pool_starts(self):
         # A fresh interpreter: this process may have loaded them already.
