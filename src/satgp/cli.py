@@ -107,17 +107,6 @@ def _solver_config(args) -> SolverConfig:
                         restart_first=args.restart_first, rng_seed=args.solver_seed)
 
 
-def _jobs(text: str) -> int:
-    """argparse type of --jobs: a worker count of at least 1."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
-
-
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     default = SolverConfig()
     parser.add_argument("--var-decay", type=float, default=default.var_decay)
@@ -211,6 +200,7 @@ def _print_model(model: dict[int, bool]) -> None:
 
 
 def cmd_histogram(args) -> int:
+    check_int("--jobs", args.jobs, 1)
     config = _solver_config(args)
     lo, hi = _parse_range(args.range)
     check_histogram_args(args.samples, lo, hi)
@@ -251,6 +241,7 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def cmd_evolve(args) -> int:
+    check_int("--jobs", args.jobs, 1)
     solver_config = _solver_config(args)
     gp_config = GpConfig(population_size=args.pop, generations=args.gens, rng_seed=args.seed)
     named = [(os.path.basename(path), read_dimacs(path)) for path in args.files]
@@ -390,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--range", default="0:1", help="lo:hi for random activities")
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_histogram)
@@ -401,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gens", type=int, default=GpConfig().generations)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--resume", default=None, help="continue from a checkpoint file")
-    p.add_argument("--jobs", type=_jobs, default=1)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_evolve)

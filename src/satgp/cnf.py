@@ -13,22 +13,13 @@ import re
 from dataclasses import dataclass
 from itertools import chain
 
-from .rng import SplitMix64
+from .rng import SplitMix64, check_int
 
 logger = logging.getLogger(__name__)
 
 # Counts and literals, separated by white space, each an optional minus and
 # ASCII digits: int() alone would also read "+1", "1_0" and non-ASCII digits.
 _INTEGERS = re.compile(r"-?[0-9]+(?:\s+-?[0-9]+)*").fullmatch
-
-
-def check_int(name: str, value, minimum: int | None = None) -> None:
-    """The API's integer rule: ValueError, naming `name`, unless value is an
-    int (not a bool or float) and at least minimum, when one is given."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 class DimacsError(ValueError):

@@ -182,8 +182,9 @@ def evaluate(
     searched: the interpreter runs on the distinct programs whose text the
     memo lacks, then each (case, init) key memo.by_init lacks is searched
     once, in first-seen order.  Both phases go through map_shared, so
-    nothing depends on `jobs`.
+    nothing depends on `jobs`, which must be an int >= 1.
     """
+    check_int("jobs", jobs, 1)
     if memo is None:
         memo = EvalMemo()
     todo = [ind for ind in population if ind.fitness is None]

@@ -200,18 +200,19 @@ def run_histogram(
     rng.spawn_seeds), so replay_sample can re-run any sample later; a
     sample's bin is percent_bin of its conflicts.  Raises ValueError,
     before any search, for arguments check_histogram_args refuses, for
-    jobs that is not an int >= 1 and for a formula that preprocessing
-    alone decides, and when the baseline solves without conflicts,
-    because percentages of zero are undefined.
+    jobs that is not an int >= 1, for a master_seed that is not an int
+    and for a formula that preprocessing alone decides, and when the
+    baseline solves without conflicts, because percentages of zero are
+    undefined.
     """
     check_histogram_args(samples, lo, hi)
     check_int("jobs", jobs, 1)
+    seeds = spawn_seeds(master_seed, samples)
     cnf = searched_formula(cnf)
     baseline = solve_with_baseline(cnf, config)
     if baseline.conflicts == 0:
         raise ValueError("baseline has no conflicts; histogram undefined")
 
-    seeds = spawn_seeds(master_seed, samples)
     results = map_shared(_histogram_sample, (cnf, lo, hi, config), seeds, jobs)
 
     bins: dict[int, int] = {}

@@ -11,8 +11,9 @@ or Python version.  The generator is the public-domain SplitMix64 mixer:
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB
     output = z ^ (z >> 31)
 
-all arithmetic modulo 2**64.  Seeds are taken modulo 2**64 as well, so any
-Python integer (including negatives) is a valid seed.
+all arithmetic modulo 2**64.  A seed is any int, negatives included,
+taken modulo 2**64; a bool, a float or any other type raises ValueError
+(see check_int, the integer rule every part of the API applies).
 """
 
 from __future__ import annotations
@@ -24,12 +25,22 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
+def check_int(name: str, value, minimum: int | None = None) -> None:
+    """The API's integer rule: ValueError, naming `name`, unless value is an
+    int (not a bool or float) and at least minimum, when one is given."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 class SplitMix64:
     """Deterministic 64-bit generator; the whole state is one integer."""
 
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
+        check_int("seed", seed)
         self.state = seed & MASK64
 
     def next_u64(self) -> int:

@@ -482,11 +482,16 @@ class TestEvolve:
 @pytest.mark.parametrize("command", ["histogram", "evolve"])
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_jobs_below_one_rejected(command, jobs, bundled_file, workdir, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([command, bundled_file, "--jobs", jobs, "--out", str(workdir / "o")])
-    assert exc.value.code == 2
-    assert "--jobs: must be at least 1" in capsys.readouterr().err
+    assert main([command, bundled_file, "--jobs", jobs, "--out", str(workdir / "o")]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
     assert not (workdir / "o").exists()
+
+
+def test_jobs_not_a_number_is_a_usage_error(bundled_file, workdir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["histogram", bundled_file, "--jobs", "two", "--out", str(workdir / "o")])
+    assert exc.value.code == 2
+    assert "argument --jobs: invalid int value: 'two'" in capsys.readouterr().err
 
 
 class TestReorderCommand:

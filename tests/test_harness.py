@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from satgp import harness
+from satgp import gp, harness
 from satgp.cnf import Cnf, preprocess_bcp, random_3sat
+from satgp.gp import FitnessCaseSet, GpConfig, Individual, evaluate, run_evolution
 from satgp.harness import (
     bundled_cnf,
     compare_reordered,
@@ -26,7 +27,7 @@ from satgp.harness import (
     validation_csv,
 )
 from satgp.lang import parse_program, preset_program
-from satgp.rng import spawn_seeds
+from satgp.rng import SplitMix64, spawn_seeds
 from satgp.solver import SolverConfig
 
 
@@ -97,6 +98,14 @@ class TestHistogram:
     def test_bad_arguments_refused(self, samples, lo, hi, message):
         with pytest.raises(ValueError, match=message):
             run_histogram(reduced_bundled(), samples, lo, hi, CONFIG, master_seed=1)
+
+    def test_bad_master_seed_refused_before_any_search(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("searched with a bad master seed")
+
+        monkeypatch.setattr(harness, "solve_with_baseline", fail)
+        with pytest.raises(ValueError, match=r"seed must be an int, got 1\.5"):
+            run_histogram(bundled_cnf(), 3, 0.0, 1.0, CONFIG, master_seed=1.5)
 
     def test_baseline_without_conflicts_raises(self):
         trivial = Cnf.from_lists(2, [[1, 2]])
@@ -170,15 +179,25 @@ class TestWorkerPool:
         (True, "jobs must be an int, got True"),
     ])
     def test_bad_jobs_refused_before_any_work(self, monkeypatch, jobs, message):
-        def fail(*args):
+        def fail(*args, **kwargs):
             raise AssertionError("ran after a bad jobs value")
 
+        # Already scored, as a resumed population is: evaluate has no
+        # program to run, so only the jobs check can refuse.
+        cases = FitnessCaseSet.from_cnfs([("bundled", bundled_cnf())], CONFIG)
+        scored = [Individual(preset_program("add_lc"), 1.0, [(1, 1)]) for _ in range(2)]
+        config = GpConfig(population_size=2, generations=1)
         monkeypatch.setattr(harness, "pool_size", fail)
         monkeypatch.setattr(harness, "solve_with_baseline", fail)
+        monkeypatch.setattr(gp, "step_steady_state", fail)
         with pytest.raises(ValueError, match=message):
             map_shared(fail, None, [1, 2], jobs=jobs)
         with pytest.raises(ValueError, match=message):
             run_histogram(bundled_cnf(), 3, 0.0, 1.0, CONFIG, master_seed=1, jobs=jobs)
+        with pytest.raises(ValueError, match=message):
+            evaluate(scored, cases, jobs=jobs)
+        with pytest.raises(ValueError, match=message):
+            run_evolution(cases, config, scored, SplitMix64(1), jobs=jobs)
 
     def test_pool_modules_imported_only_when_a_pool_starts(self):
         # A fresh interpreter: this process may have loaded them already.

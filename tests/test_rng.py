@@ -1,3 +1,7 @@
+import pytest
+
+from satgp.cnf import random_3sat, reorder
+from satgp.harness import bundled_cnf
 from satgp.rng import MASK64, SplitMix64, spawn_seeds
 
 # Published reference outputs for this mixer.
@@ -76,3 +80,19 @@ class TestSpawnSeeds:
         child_values = [SplitMix64(s).random() for s in seeds]
         again = [SplitMix64(s).random() for s in seeds]
         assert child_values == again
+
+
+class TestSeedRule:
+    """A seed is an int; a bool or float is refused where the stream is made."""
+
+    @pytest.mark.parametrize("make,message", [
+        pytest.param(lambda: SplitMix64(1.5), r"1\.5", id="SplitMix64-float"),
+        pytest.param(lambda: SplitMix64(True), "True", id="SplitMix64-bool"),
+        pytest.param(lambda: random_3sat(5, 5, 1.5), r"1\.5", id="random_3sat-float"),
+        pytest.param(lambda: random_3sat(5, 5, True), "True", id="random_3sat-bool"),
+        pytest.param(lambda: reorder(bundled_cnf(), 2.5), r"2\.5", id="reorder-float"),
+        pytest.param(lambda: spawn_seeds(1.5, 2), r"1\.5", id="spawn_seeds-float"),
+    ])
+    def test_non_int_seed_refused(self, make, message):
+        with pytest.raises(ValueError, match=f"seed must be an int, got {message}$"):
+            make()
