@@ -172,8 +172,9 @@ def write_dimacs(cnf: Cnf, comments: tuple[str, ...] = ()) -> str:
 
 def check_model(cnf: Cnf, model: dict[int, bool]) -> None:
     """Raise RuntimeError naming the first clause that `model` falsifies."""
+    true_lits = {v if value else -v for v, value in model.items()}
     for clause in cnf.clauses:
-        if not any(model[abs(lit)] == (lit > 0) for lit in clause):
+        if true_lits.isdisjoint(clause):
             raise RuntimeError(f"model check failed on clause {clause}")
 
 

@@ -85,5 +85,6 @@ def spawn_seeds(master_seed: int, count: int) -> list[int]:
     seeded from a stored child seed can be replayed in isolation without
     re-deriving the whole stream.
     """
+    check_int("count", count, 0)
     gen = SplitMix64(master_seed)
     return [gen.next_u64() for _ in range(count)]

@@ -35,11 +35,13 @@ Data structures follow MiniSat (Een & Sorensson, SAT 2003) in plain
 Python lists.  The truth values and the watch lists are indexed by signed
 literal: with 2n+1 entries, Python's negative indexing puts literal -v at
 2n+1-v, so reading a literal needs no abs().  Propagation tries a visited
-clause's third literal before it scans the rest, and on a conflict keeps
-the watchers it has not visited in their order.  There are no blocker
-literals: they would change the watch order, and so the trace.  Decisions
-scan the variable range linearly; an exact order heap kept the traces but
-made the bench's solve_ladder only 6.3% faster.  Intended for desk-scale
+clause's third literal before it scans the rest, so a 3-literal clause
+is settled without a loop, and on a conflict keeps the watchers it has
+not visited in their order.  There are no blocker literals: they would
+change the watch order, and so the trace.  Instead of an order heap,
+decisions read a masked copy of the activities, -inf for each assigned
+variable, with max(), index() and count(): one list store per assignment
+and per unassignment, and the scans run in C.  Intended for desk-scale
 experiments.
 """
 
@@ -120,6 +122,9 @@ class _Search:
         # never matter (their magnitudes relative to each other still do).
         acts = normalize(list(init))
         self.activity = [0.0] + acts
+        # free_act[v] is activity[v] while v is unassigned and -inf while it
+        # is assigned, so decide reads the best free variable with max().
+        self.free_act = [-math.inf] + acts
         self.var_inc = 1.0
         self.cla_inc = 1.0
         # Indexed by signed literal (-v lands at 2n+1-v): True, False or
@@ -145,6 +150,7 @@ class _Search:
         self.val[lit] = True
         self.val[-lit] = False
         v = abs(lit)
+        self.free_act[v] = -math.inf
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
@@ -154,18 +160,18 @@ class _Search:
             return
         bound = self.trail_lim[target_level]
         val = self.val
+        activity = self.activity
+        free_act = self.free_act
         for lit in self.trail[bound:]:
             val[lit] = None
             val[-lit] = None
+            v = lit if lit > 0 else -lit
+            free_act[v] = activity[v]
         del self.trail[bound:]
         del self.trail_lim[target_level:]
         self.qhead = len(self.trail)
 
     # -- clause plumbing -----------------------------------------------------
-
-    def attach(self, clause: _Clause) -> None:
-        self.watches[clause.lits[0]].append(clause)
-        self.watches[clause.lits[1]].append(clause)
 
     def locked(self, clause: _Clause) -> bool:
         first = clause.lits[0]
@@ -186,6 +192,8 @@ class _Search:
         watches = self.watches
         level = self.level
         reason = self.reason
+        free_act = self.free_act
+        assigned = -math.inf
         depth = len(self.trail_lim)
         qhead = self.qhead
         start = len(trail)
@@ -215,26 +223,32 @@ class _Search:
                     lits[2] = false_lit
                     watches[lit].append(clause)
                     continue
-                for k in range(3, len(lits)):
-                    lit = lits[k]
-                    if val[lit] is not False:
-                        lits[1] = lit
-                        lits[k] = false_lit
-                        watches[lit].append(clause)
-                        break
-                else:
-                    keep.append(clause)
-                    if val[first] is False:
-                        keep.extend(visits)  # the watchers not yet visited
-                        confl = clause
-                        qhead = len(trail)
-                        break
-                    val[first] = True
-                    val[-first] = False
-                    v = first if first > 0 else -first
-                    level[v] = depth
-                    reason[v] = clause
-                    trail.append(first)
+                if len(lits) > 3:
+                    for k in range(3, len(lits)):
+                        lit = lits[k]
+                        if val[lit] is not False:
+                            lits[1] = lit
+                            lits[k] = false_lit
+                            watches[lit].append(clause)
+                            break
+                    else:
+                        k = 0
+                    if k:
+                        continue
+                # Every literal but first is false: a unit or a conflict.
+                keep.append(clause)
+                if val[first] is False:
+                    keep.extend(visits)  # the watchers not yet visited
+                    confl = clause
+                    qhead = len(trail)
+                    break
+                val[first] = True
+                val[-first] = False
+                v = first if first > 0 else -first
+                free_act[v] = assigned
+                level[v] = depth
+                reason[v] = clause
+                trail.append(first)
             if confl is not None:
                 break
         self.qhead = qhead
@@ -345,27 +359,30 @@ class _Search:
         """Assign false to an unassigned variable: with probability
         random_decision_freq a uniform one, else one of maximum activity,
         the ties broken uniformly in variable order."""
-        val = self.val
         rng = self.rng
-        free = [v for v in range(1, self.n + 1) if val[v] is None]
         if rng.random() < self.config.random_decision_freq:
+            val = self.val
+            free = [v for v in range(1, self.n + 1) if val[v] is None]
             v = free[rng.randrange(len(free))]
         else:
-            act = self.activity
-            acts = [act[v] for v in free]
-            best = max(acts)
-            ties = acts.count(best)
-            if ties == 1:
-                v = free[acts.index(best)]
-            else:
-                v = [u for u, a in zip(free, acts) if a == best][rng.randrange(ties)]
+            # Assigned variables read -inf, so the scans see free ones only.
+            free_act = self.free_act
+            best = max(free_act)
+            v = free_act.index(best)
+            ties = free_act.count(best)
+            if ties > 1:
+                for _ in range(rng.randrange(ties)):
+                    v = free_act.index(best, v + 1)
         self.decisions += 1
         self.trail_lim.append(len(self.trail))
         self.enqueue(-v, None)  # false first
 
     def run(self) -> tuple[str, dict[int, bool] | None]:
-        for clause_lits in self.cnf.clauses:
-            self.attach(_Clause(list(clause_lits)))
+        watches = self.watches
+        for lits in self.cnf.clauses:
+            clause = _Clause(list(lits))
+            watches[lits[0]].append(clause)
+            watches[lits[1]].append(clause)
 
         rescale_threshold = SCHEDULE["rescale_threshold"]
         restart_factor = SCHEDULE["restart_factor"]
@@ -376,6 +393,7 @@ class _Search:
         restart_budget = float(self.config.restart_first)
         conflicts_since_restart = 0
         activity = self.activity
+        free_act = self.free_act
 
         while True:
             confl = self.propagate()
@@ -390,11 +408,13 @@ class _Search:
                     self.enqueue(learnt[0], None)
                 else:
                     clause = _Clause(learnt, learnt=True)
-                    self.attach(clause)
+                    watches[learnt[0]].append(clause)
+                    watches[learnt[1]].append(clause)
                     self.learnts.append(clause)
                     self.bump_clause(clause)
                     self.enqueue(learnt[0], clause)
                 # Bump the learnt clause's variables; rescale all on overflow.
+                # They are all assigned, so free_act keeps its -inf for them.
                 var_inc = self.var_inc
                 for lit in learnt:
                     v = lit if lit > 0 else -lit
@@ -402,6 +422,7 @@ class _Search:
                     if activity[v] > rescale_threshold:
                         for u in range(1, self.n + 1):
                             activity[u] *= VAR_RESCALE_FACTOR
+                            free_act[u] *= VAR_RESCALE_FACTOR
                         var_inc *= VAR_RESCALE_FACTOR
                 self.var_inc = var_inc / var_decay
                 self.cla_inc /= clause_decay
@@ -416,7 +437,7 @@ class _Search:
                 if len(self.learnts) - len(self.trail) >= max_learnts:
                     self.reduce_db()
                 if len(self.trail) == self.n:
-                    model = {v: self.val[v] for v in range(1, self.n + 1)}
+                    model = dict(zip(range(1, self.n + 1), self.val[1:self.n + 1]))
                     check_model(self.cnf, model)
                     return "sat", model
                 self.decide()
@@ -427,10 +448,11 @@ def solve(cnf: Cnf, init: list[float], config: SolverConfig = SolverConfig()) ->
 
     `cnf` must be a formula that preprocess_bcp reduced, with at least one
     clause and none shorter than 2 literals, else ValueError is raised
-    before any search.  `init` must hold one finite value per variable
-    (index v-1 for variable v); a Cnf and a SolverConfig check themselves
-    when made.  Identical (cnf, init, config) always produces an identical
-    outcome apart from wall_time.
+    before any search.  `init` must hold one finite real number per
+    variable (index v-1 for variable v), else ValueError names the
+    variable; a Cnf and a SolverConfig check themselves when made.
+    Identical (cnf, init, config) always produces an identical outcome
+    apart from wall_time.
     """
     if min(map(len, cnf.clauses), default=0) < 2:
         raise ValueError("solve needs a formula that preprocess_bcp reduced: "
@@ -439,9 +461,14 @@ def solve(cnf: Cnf, init: list[float], config: SolverConfig = SolverConfig()) ->
         raise ValueError(
             f"init length {len(init)} does not match num_vars {cnf.num_vars}"
         )
-    for i, a in enumerate(init):
-        if not math.isfinite(a):
-            raise ValueError(f"non-finite initial activity at variable {i + 1}")
+    for v, a in enumerate(init, 1):
+        try:
+            finite = math.isfinite(a)
+        except (TypeError, OverflowError):
+            raise ValueError(f"initial activity at variable {v} must be a real number "
+                             f"within float range, got {a!r:.40}") from None
+        if not finite:
+            raise ValueError(f"non-finite initial activity at variable {v}")
 
     start = time.perf_counter()
     search = _Search(cnf, init, config)

@@ -3,7 +3,8 @@
 These deliberately avoid the package's own code paths: satisfiability is
 decided by exhaustive truth-table enumeration (vectorized with numpy) and
 statistics are recounted with a plain dictionary double loop.  The
-reorder sidecar, which the package only writes, is parsed back here.
+reorder sidecar, which the package only writes, is parsed back here, and
+the solver's decision rule is restated with plain lists.
 """
 
 from __future__ import annotations
@@ -42,6 +43,30 @@ def model_satisfies(cnf, model: dict[int, bool]) -> bool:
         if not any(model[abs(lit)] == (lit > 0) for lit in clause):
             return False
     return True
+
+
+def list_decide(search) -> None:
+    """The solver's decision rule with the unassigned variables, their
+    activities and the ties built as Python lists over all n variables.
+    A `_Search` subclass that uses it as decide must give the solver's
+    traces."""
+    val = search.val
+    rng = search.rng
+    free = [v for v in range(1, search.n + 1) if val[v] is None]
+    if rng.random() < search.config.random_decision_freq:
+        v = free[rng.randrange(len(free))]
+    else:
+        act = search.activity
+        acts = [act[v] for v in free]
+        best = max(acts)
+        ties = acts.count(best)
+        if ties == 1:
+            v = free[acts.index(best)]
+        else:
+            v = [u for u, a in zip(free, acts) if a == best][rng.randrange(ties)]
+    search.decisions += 1
+    search.trail_lim.append(len(search.trail))
+    search.enqueue(-v, None)  # false first
 
 
 def recount_stats(cnf) -> tuple[dict, dict, dict]:

@@ -7,6 +7,7 @@ from satgp.cnf import (
     Cnf,
     DimacsError,
     check_int,
+    check_model,
     compute_var_stats,
     parse_dimacs,
     preprocess_bcp,
@@ -55,6 +56,47 @@ class TestCheckInt:
             check_int("n", 2, 3)
         assert str(info.value) == "n must be >= 3, got 2"
         check_int("n", 3, 3)
+
+
+class TestCheckModel:
+    CNF = Cnf.from_lists(3, [[1, 2], [-1, 3], [2, 2, -3], [3, -3], [-2, -3]])
+
+    def test_satisfying_model_passes(self):
+        assert check_model(self.CNF, {1: False, 2: True, 3: False}) is None
+
+    @pytest.mark.parametrize("model,clause", [
+        ({1: False, 2: False, 3: False}, "(1, 2)"),
+        ({1: True, 2: False, 3: False}, "(-1, 3)"),
+        ({1: True, 2: True, 3: True}, "(-2, -3)"),
+        ({1: False, 2: False, 3: True}, "(1, 2)"),  # also falsifies (2, 2, -3)
+    ])
+    def test_first_falsified_clause_named(self, model, clause):
+        with pytest.raises(RuntimeError) as info:
+            check_model(self.CNF, model)
+        assert str(info.value) == f"model check failed on clause {clause}"
+
+    def test_repeated_literal_and_tautology(self):
+        cnf = Cnf.from_lists(2, [[2, 2, -1], [1, -1]])
+        for a in (False, True):
+            check_model(cnf, {1: a, 2: True})  # the tautology never fails
+        check_model(cnf, {1: False, 2: False})
+        with pytest.raises(RuntimeError, match=r"clause \(2, 2, -1\)"):
+            check_model(cnf, {1: True, 2: False})
+
+    def test_agrees_with_oracle_on_every_model(self):
+        rng = SplitMix64(77)
+        for _ in range(20):
+            cnf = make_random_cnf(rng, 5, 12, min_width=1, max_width=4)
+            for bits in range(1 << 5):
+                model = {v: bool(bits >> (v - 1) & 1) for v in range(1, 6)}
+                falsified = [c for c in cnf.clauses
+                             if not any(model[abs(lit)] == (lit > 0) for lit in c)]
+                if not falsified:
+                    check_model(cnf, model)
+                    continue
+                with pytest.raises(RuntimeError) as info:
+                    check_model(cnf, model)
+                assert str(info.value) == f"model check failed on clause {falsified[0]}"
 
 
 class TestParse:

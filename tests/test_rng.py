@@ -81,6 +81,19 @@ class TestSpawnSeeds:
         again = [SplitMix64(s).random() for s in seeds]
         assert child_values == again
 
+    def test_zero_count(self):
+        assert spawn_seeds(13, 0) == []
+
+    @pytest.mark.parametrize("count,message", [
+        (-2, "count must be >= 0, got -2"),
+        (1.5, "count must be an int, got 1.5"),
+        (True, "count must be an int, got True"),
+    ])
+    def test_bad_count_refused(self, count, message):
+        with pytest.raises(ValueError) as info:
+            spawn_seeds(1, count)
+        assert str(info.value) == message
+
 
 class TestSeedRule:
     """A seed is an int; a bool or float is refused where the stream is made."""

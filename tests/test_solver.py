@@ -1,11 +1,12 @@
 import dataclasses
+import math
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 
 from conftest import make_random_cnf
-from oracles import model_satisfies, truth_table_satisfiable
+from oracles import list_decide, model_satisfies, truth_table_satisfiable
 from satgp import solver
 from satgp.cnf import Cnf, preprocess_bcp, random_3sat
 from satgp.lang import compute_activities, normalize, preset_program
@@ -42,6 +43,21 @@ class TestBasics:
     def test_non_finite_init(self):
         with pytest.raises(ValueError, match="non-finite"):
             solve(Cnf.from_lists(2, [[1, 2]]), [0.0, float("inf")])
+
+    @pytest.mark.parametrize("entry,shown", [
+        (10**400, "1" + "0" * 39), ("0.5", "'0.5'"), (None, "None"), (1j, "1j"),
+    ])
+    def test_init_entry_that_is_no_float_refused(self, entry, shown):
+        with pytest.raises(ValueError) as info:
+            solve(Cnf.from_lists(3, [[1, 2], [-2, 3]]), [0.0, 0.0, entry])
+        assert str(info.value) == ("initial activity at variable 3 must be a real "
+                                   f"number within float range, got {shown}")
+
+    def test_int_init_entries_accepted(self):
+        cnf = random_3sat(12, 50, seed=4)
+        rng = SplitMix64(4)
+        ints = [rng.randrange(7) - 3 for _ in range(12)]
+        assert counts(solve(cnf, ints)) == counts(solve(cnf, [float(a) for a in ints]))
 
     def test_bad_config(self):
         with pytest.raises(ValueError, match="var_decay"):
@@ -276,6 +292,96 @@ class TestSchedule:
         search = self.finished_search(clause_decay=0.5)
         # Doubled on every conflict, and rescaled on the way.
         assert 1e10 < search.cla_inc < 2.0 ** search.conflicts
+
+
+class ListDecideSearch(solver._Search):
+    decide = list_decide
+
+
+class FreeActCheckedSearch(solver._Search):
+    """Checks that free_act[v] is activity[v] for every unassigned v and
+    -inf for every assigned one, after every propagation (so at every
+    conflict), backjump, restart and decision."""
+
+    events = 0
+
+    def check_free_act(self):
+        val, activity = self.val, self.activity
+        expected = [-math.inf] + [activity[v] if val[v] is None else -math.inf
+                                  for v in range(1, self.n + 1)]
+        assert self.free_act == expected
+        self.events += 1
+
+    def propagate(self):
+        confl = super().propagate()
+        self.check_free_act()
+        return confl
+
+    def cancel_until(self, target_level):
+        super().cancel_until(target_level)
+        self.check_free_act()
+
+    def decide(self):
+        super().decide()
+        self.check_free_act()
+
+
+def search_result(search):
+    verdict, model = search.run()
+    return verdict, model, search.conflicts, search.decisions, search.propagations
+
+
+# (init kind, random_decision_freq, overrides of solver.SCHEDULE)
+DECIDE_FUZZ = [
+    ("zero", 0.02, {}),
+    ("ties", 0.02, {}),
+    ("uniform", 0.02, {}),
+    ("zero", 0.2, {}),
+    ("ties", 0.02, {"rescale_threshold": 1e10}),
+    ("uniform", 0.2, {"clause_decay": 0.5}),
+]
+
+
+class TestDecide:
+    """decide reads the best free variable from free_act; the list-built
+    rule in tests/oracles.py must give the same traces."""
+
+    @staticmethod
+    def fuzz_inputs(kind, trial):
+        rng = SplitMix64(7000 + trial)
+        n = 60 + rng.randrange(41)
+        cnf, verdict, _ = preprocess_bcp(random_3sat(n, round(4.26 * n), 7100 + trial))
+        assert verdict == "reduced"
+        init = {"zero": lambda: 0.0,
+                "ties": lambda: float(rng.randrange(3)),
+                "uniform": lambda: rng.uniform(-1.0, 1.0)}[kind]
+        return cnf, [init() for _ in range(cnf.num_vars)]
+
+    @pytest.mark.parametrize("kind,freq,schedule", DECIDE_FUZZ)
+    def test_same_traces_as_list_decide(self, kind, freq, schedule):
+        rescaled = 0
+        for trial in range(8):
+            cnf, init = self.fuzz_inputs(kind, trial)
+            config = SolverConfig(random_decision_freq=freq, rng_seed=trial)
+            with mock.patch.dict(solver.SCHEDULE, schedule):
+                expected = search_result(ListDecideSearch(cnf, init, config))
+                search = solver._Search(cnf, init, config)
+                assert search_result(search) == expected
+            rescaled += search.var_inc < 1.0
+        if "rescale_threshold" in schedule:
+            assert rescaled >= 2
+
+    @pytest.mark.parametrize("kind,freq,schedule", DECIDE_FUZZ)
+    def test_free_act_invariant(self, kind, freq, schedule):
+        cnf, init = self.fuzz_inputs(kind, 7)
+        config = SolverConfig(random_decision_freq=freq)
+        with mock.patch.dict(solver.SCHEDULE, schedule):
+            search = FreeActCheckedSearch(cnf, init, config)
+            expected = search_result(solver._Search(cnf, init, config))
+            assert search_result(search) == expected
+        assert search.conflicts > 300 and search.events > 3 * search.conflicts
+        if "rescale_threshold" in schedule:
+            assert search.var_inc < 1.0
 
 
 class TestHardUnsat:
