@@ -32,23 +32,28 @@ in the table SCHEDULE; SolverConfig holds the four settings that vary
 harness.config_hash covers both.
 
 Data structures follow MiniSat (Een & Sorensson, SAT 2003) in plain
-Python lists.  The truth values and the watch lists are indexed by signed
-literal: with 2n+1 entries, Python's negative indexing puts literal -v at
-2n+1-v, so reading a literal needs no abs().  Propagation tries a visited
-clause's third literal before it scans the rest, so a 3-literal clause
-is settled without a loop, and on a conflict keeps the watchers it has
-not visited in their order.  There are no blocker literals: they would
-change the watch order, and so the trace.  Instead of an order heap,
-decisions read a masked copy of the activities, -inf for each assigned
-variable, with max(), index() and count(): one list store per assignment
-and per unassignment, and the scans run in C.  Intended for desk-scale
-experiments.
+Python lists, and so does the literal encoding inside _Search: v is 2v
+and -v is 2v+1, so L ^ 1 negates L and L >> 1 is its variable.  The
+truth values and the watch lists are indexed by encoded literal, never
+negative: CPython 3.11+ specializes only such list subscripts (3.10
+specializes none and gains nothing).  run encodes the clauses it
+attaches and the model is decoded from the positive literals' slots, so
+Cnf, SolveOutcome.model and check_model keep signed DIMACS literals.
+Propagation tries a visited clause's third literal before it scans the
+rest, so a 3-literal clause is settled without a loop, and on a conflict
+keeps the watchers it has not visited in their order.  There are no
+blocker literals: they would change the watch order, and so the trace.
+Instead of an order heap, decisions read a masked copy of the
+activities, -inf for each assigned variable, with max(), index() and
+count(): one list store per assignment and per unassignment, and the
+scans run in C.  Intended for desk-scale experiments.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .cnf import Cnf, check_int, check_model
@@ -120,16 +125,16 @@ class _Search:
         self.n = n
         # Internal normalization: the scale of the initial activities can
         # never matter (their magnitudes relative to each other still do).
-        acts = normalize(list(init))
+        acts = normalize(init)
         self.activity = [0.0] + acts
         # free_act[v] is activity[v] while v is unassigned and -inf while it
         # is assigned, so decide reads the best free variable with max().
         self.free_act = [-math.inf] + acts
         self.var_inc = 1.0
         self.cla_inc = 1.0
-        # Indexed by signed literal (-v lands at 2n+1-v): True, False or
-        # None for unassigned; both signs are set and cleared together.
-        self.val: list[bool | None] = [None] * (2 * n + 1)
+        # Indexed by encoded literal (slots 0 and 1 unused): True, False or
+        # None for unassigned; both literals are set and cleared together.
+        self.val: list[bool | None] = [None] * (2 * n + 2)
         self.level = [0] * (n + 1)
         # reason[v] is meaningful only while v is assigned.
         self.reason: list[_Clause | None] = [None] * (n + 1)
@@ -137,7 +142,7 @@ class _Search:
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.watches: list[list[_Clause]] = [[] for _ in range(2 * n + 1)]
+        self.watches: list[list[_Clause]] = [[] for _ in range(2 * n + 2)]
         self.learnts: list[_Clause] = []
         self.rng = SplitMix64(config.rng_seed)
         self.conflicts = 0
@@ -148,8 +153,8 @@ class _Search:
 
     def enqueue(self, lit: int, reason: _Clause | None) -> None:
         self.val[lit] = True
-        self.val[-lit] = False
-        v = abs(lit)
+        self.val[lit ^ 1] = False
+        v = lit >> 1
         self.free_act[v] = -math.inf
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
@@ -164,8 +169,8 @@ class _Search:
         free_act = self.free_act
         for lit in self.trail[bound:]:
             val[lit] = None
-            val[-lit] = None
-            v = lit if lit > 0 else -lit
+            val[lit ^ 1] = None
+            v = lit >> 1
             free_act[v] = activity[v]
         del self.trail[bound:]
         del self.trail_lim[target_level:]
@@ -175,7 +180,7 @@ class _Search:
 
     def locked(self, clause: _Clause) -> bool:
         first = clause.lits[0]
-        return self.val[first] is not None and self.reason[abs(first)] is clause
+        return self.val[first] is not None and self.reason[first >> 1] is clause
 
     # -- propagation ---------------------------------------------------------
 
@@ -199,7 +204,7 @@ class _Search:
         start = len(trail)
         confl = None
         while qhead < len(trail):
-            false_lit = -trail[qhead]
+            false_lit = trail[qhead] ^ 1
             qhead += 1
             watchers = watches[false_lit]
             if not watchers:
@@ -243,8 +248,8 @@ class _Search:
                     qhead = len(trail)
                     break
                 val[first] = True
-                val[-first] = False
-                v = first if first > 0 else -first
+                val[first ^ 1] = False
+                v = first >> 1
                 free_act[v] = assigned
                 level[v] = depth
                 reason[v] = clause
@@ -288,7 +293,7 @@ class _Search:
                 self.bump_clause(clause)
             lits = clause.lits
             for q in lits if p == 0 else lits[1:]:  # lits[0] is the resolved literal
-                v = q if q > 0 else -q
+                v = q >> 1
                 if not seen[v]:
                     lv = level[v]
                     if lv > 0:
@@ -299,7 +304,7 @@ class _Search:
                             learnt.append(q)
             while True:
                 p = trail[idx]
-                v = p if p > 0 else -p
+                v = p >> 1
                 if seen[v]:
                     break
                 idx -= 1
@@ -313,15 +318,15 @@ class _Search:
         # Every current-level mark was cleared as its variable was resolved;
         # the rest are exactly the learnt clause's other variables.
         for q in learnt[1:]:
-            seen[q if q > 0 else -q] = False
-        learnt[0] = -p
+            seen[q >> 1] = False
+        learnt[0] = p ^ 1
         if len(learnt) == 1:
             return learnt, 0
         max_i = 1
         bt_level = 0
         for i in range(1, len(learnt)):
             q = learnt[i]
-            lv = level[q if q > 0 else -q]
+            lv = level[q >> 1]
             if lv > bt_level:
                 max_i, bt_level = i, lv
         learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
@@ -362,7 +367,7 @@ class _Search:
         rng = self.rng
         if rng.random() < self.config.random_decision_freq:
             val = self.val
-            free = [v for v in range(1, self.n + 1) if val[v] is None]
+            free = [v for v in range(1, self.n + 1) if val[2 * v] is None]
             v = free[rng.randrange(len(free))]
         else:
             # Assigned variables read -inf, so the scans see free ones only.
@@ -375,14 +380,14 @@ class _Search:
                     v = free_act.index(best, v + 1)
         self.decisions += 1
         self.trail_lim.append(len(self.trail))
-        self.enqueue(-v, None)  # false first
+        self.enqueue(2 * v + 1, None)  # false first
 
     def run(self) -> tuple[str, dict[int, bool] | None]:
         watches = self.watches
         for lits in self.cnf.clauses:
-            clause = _Clause(list(lits))
-            watches[lits[0]].append(clause)
-            watches[lits[1]].append(clause)
+            clause = _Clause([2 * q if q > 0 else 1 - 2 * q for q in lits])
+            watches[clause.lits[0]].append(clause)
+            watches[clause.lits[1]].append(clause)
 
         rescale_threshold = SCHEDULE["rescale_threshold"]
         restart_factor = SCHEDULE["restart_factor"]
@@ -417,7 +422,7 @@ class _Search:
                 # They are all assigned, so free_act keeps its -inf for them.
                 var_inc = self.var_inc
                 for lit in learnt:
-                    v = lit if lit > 0 else -lit
+                    v = lit >> 1
                     activity[v] += var_inc
                     if activity[v] > rescale_threshold:
                         for u in range(1, self.n + 1):
@@ -437,32 +442,37 @@ class _Search:
                 if len(self.learnts) - len(self.trail) >= max_learnts:
                     self.reduce_db()
                 if len(self.trail) == self.n:
-                    model = dict(zip(range(1, self.n + 1), self.val[1:self.n + 1]))
+                    model = dict(zip(range(1, self.n + 1), self.val[2::2]))
                     check_model(self.cnf, model)
                     return "sat", model
                 self.decide()
 
 
-def solve(cnf: Cnf, init: list[float], config: SolverConfig = SolverConfig()) -> SolveOutcome:
+def solve(cnf: Cnf, init: Iterable[float],
+          config: SolverConfig = SolverConfig()) -> SolveOutcome:
     """Complete search over `cnf` starting from the given initial activities.
 
     `cnf` must be a formula that preprocess_bcp reduced, with at least one
     clause and none shorter than 2 literals, else ValueError is raised
-    before any search.  `init` must hold one finite real number per
-    variable (index v-1 for variable v), else ValueError names the
-    variable; a Cnf and a SolverConfig check themselves when made.
+    before any search.  `init`, read once, must give one finite real
+    number (not a bool) per variable (index v-1 for variable v), else
+    ValueError names the variable; a Cnf and a SolverConfig check
+    themselves when made.
     Identical (cnf, init, config) always produces an identical outcome
     apart from wall_time.
     """
     if min(map(len, cnf.clauses), default=0) < 2:
         raise ValueError("solve needs a formula that preprocess_bcp reduced: "
                          "at least one clause, none shorter than 2 literals")
+    init = list(init)
     if len(init) != cnf.num_vars:
         raise ValueError(
             f"init length {len(init)} does not match num_vars {cnf.num_vars}"
         )
     for v, a in enumerate(init, 1):
         try:
+            if isinstance(a, bool):  # a bool is an int, but no activity
+                raise TypeError
             finite = math.isfinite(a)
         except (TypeError, OverflowError):
             raise ValueError(f"initial activity at variable {v} must be a real number "

@@ -49,10 +49,10 @@ def list_decide(search) -> None:
     """The solver's decision rule with the unassigned variables, their
     activities and the ties built as Python lists over all n variables.
     A `_Search` subclass that uses it as decide must give the solver's
-    traces."""
+    traces.  `_Search` keeps literal v at 2v and -v at 2v+1."""
     val = search.val
     rng = search.rng
-    free = [v for v in range(1, search.n + 1) if val[v] is None]
+    free = [v for v in range(1, search.n + 1) if val[2 * v] is None]
     if rng.random() < search.config.random_decision_freq:
         v = free[rng.randrange(len(free))]
     else:
@@ -66,7 +66,7 @@ def list_decide(search) -> None:
             v = [u for u, a in zip(free, acts) if a == best][rng.randrange(ties)]
     search.decisions += 1
     search.trail_lim.append(len(search.trail))
-    search.enqueue(-v, None)  # false first
+    search.enqueue(2 * v + 1, None)  # -v, false first
 
 
 def recount_stats(cnf) -> tuple[dict, dict, dict]:

@@ -46,12 +46,21 @@ class TestBasics:
 
     @pytest.mark.parametrize("entry,shown", [
         (10**400, "1" + "0" * 39), ("0.5", "'0.5'"), (None, "None"), (1j, "1j"),
+        (True, "True"),
     ])
     def test_init_entry_that_is_no_float_refused(self, entry, shown):
         with pytest.raises(ValueError) as info:
             solve(Cnf.from_lists(3, [[1, 2], [-2, 3]]), [0.0, 0.0, entry])
         assert str(info.value) == ("initial activity at variable 3 must be a real "
                                    f"number within float range, got {shown}")
+
+    def test_iterator_init_read_once(self):
+        cnf = random_3sat(12, 50, seed=4)
+        rng = SplitMix64(5)
+        init = [rng.uniform(-1.0, 1.0) for _ in range(12)]
+        expected = counts(solve(cnf, init))
+        assert counts(solve(cnf, iter(init))) == expected
+        assert counts(solve(cnf, (a for a in init))) == expected
 
     def test_int_init_entries_accepted(self):
         cnf = random_3sat(12, 50, seed=4)
@@ -307,7 +316,7 @@ class FreeActCheckedSearch(solver._Search):
 
     def check_free_act(self):
         val, activity = self.val, self.activity
-        expected = [-math.inf] + [activity[v] if val[v] is None else -math.inf
+        expected = [-math.inf] + [activity[v] if val[2 * v] is None else -math.inf
                                   for v in range(1, self.n + 1)]
         assert self.free_act == expected
         self.events += 1
@@ -460,3 +469,74 @@ class TestMixedWidthTraces:
         assert counts(out) == trace
         if out.verdict == "sat":
             assert model_satisfies(cnf, out.model)
+
+
+def decode(lit: int) -> int:
+    """The signed literal of a literal as _Search stores it (v at 2v, -v
+    at 2v+1)."""
+    return -(lit >> 1) if lit & 1 else lit >> 1
+
+
+class EncodingCheckedSearch(solver._Search):
+    """Checks the literal encoding after every propagation that finds no
+    conflict and after every backjump and restart: each trail literal L
+    lies in [2, 2n+1] with val[L] True and val[L ^ 1] False, both slots of
+    every unassigned variable (and the unused slots 0 and 1) read None,
+    and the watch lists hold every input and learnt clause under its
+    first two literals and nothing else.  The input clauses are taken
+    from the watch lists before the first propagation and must decode to
+    the formula's clauses."""
+
+    inputs = None
+    events = 0
+
+    def check_encoding(self):
+        val, n = self.val, self.n
+        assigned = {0}
+        for lit in self.trail:
+            assert 2 <= lit <= 2 * n + 1
+            assert val[lit] is True and val[lit ^ 1] is False
+            assigned.add(lit >> 1)
+        for v in range(n + 1):
+            if v not in assigned:
+                assert val[2 * v] is None and val[2 * v + 1] is None
+        watched = {(c, lit) for lit, clauses in enumerate(self.watches) for c in clauses}
+        assert watched == {(c, c.lits[k]) for c in self.inputs + self.learnts
+                           for k in (0, 1)}
+        self.events += 1
+
+    def propagate(self):
+        if self.inputs is None:
+            self.inputs = list(dict.fromkeys(c for cs in self.watches for c in cs))
+            assert (sorted(tuple(map(decode, c.lits)) for c in self.inputs)
+                    == sorted(self.cnf.clauses))
+        confl = super().propagate()
+        if confl is None:
+            self.check_encoding()
+        return confl
+
+    def cancel_until(self, target_level):
+        super().cancel_until(target_level)
+        self.check_encoding()
+
+
+class TestLiteralEncoding:
+    """EncodingCheckedSearch gives plain _Search's traces and models: on a
+    formula of more than 127 variables, whose encoded literals lie
+    outside CPython's small-int cache (above 256), and on the
+    mixed-width formulas with repeated literals."""
+
+    @pytest.mark.parametrize("name", ["3sat-130", "a", "b", "c"])
+    def test_encoding_invariant(self, name):
+        if name == "3sat-130":
+            cnf, verdict, _ = preprocess_bcp(random_3sat(130, 554, 4))
+            assert verdict == "reduced" and cnf.num_vars == 130
+        else:
+            cnf = with_duplicate_literals(mixed_width_cnf(*MIXED_WIDTH_INSTANCES[name]))
+        init, config = [0.0] * cnf.num_vars, SolverConfig()
+        search = EncodingCheckedSearch(cnf, init, config)
+        result = search_result(search)
+        assert result == search_result(solver._Search(cnf, init, config))
+        if name == "3sat-130":
+            assert result[0] == "sat" and max(search.trail) > 256
+        assert search.events > 2 * search.conflicts
