@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import astuple
@@ -66,7 +65,7 @@ from .lang import (
     preset_program,
     print_program,
 )
-from .rng import SplitMix64
+from .rng import SplitMix64, check_real
 from .solver import SolverConfig, solve
 
 EXIT_SAT = 10
@@ -182,8 +181,8 @@ def _init_builder(spec: str):
             init = [float(tok) for tok in tokens]
         except ValueError as exc:
             raise ValueError(f"--init {spec}: {exc}") from None
-        if not all(map(math.isfinite, init)):
-            raise ValueError(f"--init {spec}: activities must be finite")
+        for i, a in enumerate(init, 1):
+            check_real(f"--init {spec}: activity {i}", a)
         return lambda reduced: init
     raise ValueError(f"unknown --init {spec!r}; use zero, preset:<name> or file:<path>")
 
@@ -339,6 +338,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    check_int("--vars", args.vars, 3)
     check_int("--clauses", args.clauses, 0)
     check_int("--count", args.count, 0)
     artifacts = {}

@@ -33,7 +33,7 @@ from functools import partial
 
 from .cnf import Cnf, check_int, preprocess_bcp, random_3sat, reorder
 from .lang import InitProgram, compute_activities, print_program
-from .rng import SplitMix64, spawn_seeds
+from .rng import SplitMix64, check_real, spawn_seeds
 from .solver import SCHEDULE, SolveOutcome, SolverConfig, solve, solve_with_baseline
 
 # Generator coordinates of the bundled desk-scale instance used by the
@@ -174,13 +174,14 @@ def _histogram_sample(shared, seed: int) -> tuple[int, int]:
 
 
 def check_histogram_args(samples: int, lo: float, hi: float) -> None:
-    """ValueError unless samples is an int >= 1 and [lo, hi) is a finite
-    range with lo < hi (or the degenerate all-zero range 0:0)."""
+    """ValueError unless samples is an int >= 1, lo, hi and hi - lo pass
+    rng.check_real, and lo < hi (or the degenerate all-zero range 0:0)."""
     check_int("samples", samples, 1)
+    check_real("lo", lo)
+    check_real("hi", hi)
+    check_real("hi - lo", hi - lo)
     if not lo < hi and not (lo == hi == 0.0):
         raise ValueError(f"range {lo}:{hi}: need lo < hi (or the degenerate all-zero range 0:0)")
-    if not all(math.isfinite(x) for x in (lo, hi, hi - lo)):
-        raise ValueError(f"range {lo}:{hi}: lo, hi and hi - lo must be finite")
 
 
 def run_histogram(

@@ -348,7 +348,7 @@ def _checked_stats(cnf: Cnf, stats: VarStats | None) -> VarStats:
     """Shared prologue: compute the stats, or check that they fit cnf."""
     if stats is None:
         stats = compute_var_stats(cnf)
-    if len(stats.xc) != cnf.num_vars + 1:
+    if {len(stats.xn), len(stats.xp), len(stats.xc)} != {cnf.num_vars + 1}:
         raise ValueError("VarStats size does not match cnf.num_vars")
     return stats
 

@@ -13,10 +13,12 @@ or Python version.  The generator is the public-domain SplitMix64 mixer:
 
 all arithmetic modulo 2**64.  A seed is any int, negatives included,
 taken modulo 2**64; a bool, a float or any other type raises ValueError
-(see check_int, the integer rule every part of the API applies).
+(check_int is the API's integer rule, check_real its real-number rule).
 """
 
 from __future__ import annotations
+
+import sys
 
 MASK64 = (1 << 64) - 1
 
@@ -32,6 +34,13 @@ def check_int(name: str, value, minimum: int | None = None) -> None:
         raise ValueError(f"{name} must be an int, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_real(name: str, value) -> None:
+    """The API's real-number rule: ValueError, naming `name`, unless value is
+    an int or a float (no bool) and abs(value) <= sys.float_info.max."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a real number within float range, got {value!r:.40}")
 
 
 class SplitMix64:

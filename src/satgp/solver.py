@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 from .cnf import Cnf, check_int, check_model
 from .lang import normalize
-from .rng import SplitMix64
+from .rng import SplitMix64, check_real
 
 VAR_RESCALE_FACTOR = 1e-100
 CLAUSE_RESCALE_LIMIT = 1e20
@@ -91,8 +91,7 @@ class SolverConfig:
         # Stored as floats, and -0.0 as 0.0, so that equal configs hash alike.
         for name, zero_ok in (("var_decay", False), ("random_decision_freq", True)):
             value = getattr(self, name)
-            if type(value) not in (int, float):
-                raise ValueError(f"{name} must be an int or a float, got {value!r}")
+            check_real(name, value)
             if not (0.0 < value < 1.0 or zero_ok and value == 0.0):
                 raise ValueError(f"{name} must be in {'[' if zero_ok else '('}0, 1)")
             object.__setattr__(self, name, float(value) + 0.0)
@@ -454,9 +453,9 @@ def solve(cnf: Cnf, init: Iterable[float],
 
     `cnf` must be a formula that preprocess_bcp reduced, with at least one
     clause and none shorter than 2 literals, else ValueError is raised
-    before any search.  `init`, read once, must give one finite real
-    number (not a bool) per variable (index v-1 for variable v), else
-    ValueError names the variable; a Cnf and a SolverConfig check
+    before any search.  `init`, read once, must give one real number per
+    variable (index v-1 for variable v) that rng.check_real accepts,
+    else ValueError names the variable; a Cnf and a SolverConfig check
     themselves when made.
     Identical (cnf, init, config) always produces an identical outcome
     apart from wall_time.
@@ -470,15 +469,7 @@ def solve(cnf: Cnf, init: Iterable[float],
             f"init length {len(init)} does not match num_vars {cnf.num_vars}"
         )
     for v, a in enumerate(init, 1):
-        try:
-            if isinstance(a, bool):  # a bool is an int, but no activity
-                raise TypeError
-            finite = math.isfinite(a)
-        except (TypeError, OverflowError):
-            raise ValueError(f"initial activity at variable {v} must be a real number "
-                             f"within float range, got {a!r:.40}") from None
-        if not finite:
-            raise ValueError(f"non-finite initial activity at variable {v}")
+        check_real(f"initial activity at variable {v}", a)
 
     start = time.perf_counter()
     search = _Search(cnf, init, config)

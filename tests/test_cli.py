@@ -261,9 +261,12 @@ class TestHistogram:
                      "--out", str(workdir / "h")])
         assert code == EXIT_ERROR
 
-    @pytest.mark.parametrize("flag", [["--range", "0:inf"], ["--range=-1e308:1e308"]])
+    @pytest.mark.parametrize("flag,message", [
+        (["--range", "0:inf"], "hi must be a real number within float range, got inf"),
+        (["--range=-1e308:1e308"], "hi - lo must be a real number within float range, got inf"),
+    ])
     def test_non_finite_range_refused_before_search(
-        self, bundled_file, workdir, capsys, monkeypatch, flag
+        self, bundled_file, workdir, capsys, monkeypatch, flag, message
     ):
         def no_search(*args, **kwargs):
             raise AssertionError("searched before checking the range")
@@ -271,7 +274,7 @@ class TestHistogram:
         monkeypatch.setattr(harness, "solve_with_baseline", no_search)
         code = main(["histogram", bundled_file, *flag, "--out", str(workdir / "h")])
         assert code == EXIT_ERROR
-        assert "hi - lo must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_summary_percents_are_the_bins(self, bundled_file, workdir, capsys, monkeypatch):
         # With k0 = 8, 5 and 13 conflicts are 62.5% and 162.5%: bins 63 and 163.
@@ -668,7 +671,7 @@ class TestSolverFlags:
         (["histogram", "--samples", "0", "--range", "zz"], "bad --range 'zz'; expected lo:hi"),
         (["histogram", "--range", "1:0"],
          "range 1.0:0.0: need lo < hi (or the degenerate all-zero range 0:0)"),
-        (["histogram", "--range", "0:inf"], "range 0.0:inf: lo, hi and hi - lo must be finite"),
+        (["histogram", "--range", "0:inf"], "hi must be a real number within float range, got inf"),
         (["evolve", "--pop", "1"], "population_size must be >= 2, got 1"),
         (["evolve", "--gens", "-3"], "generations must be >= 0, got -3"),
         (["evolve", "--pop", "1", "--gens", "-3"], "generations must be >= 0, got -3"),
@@ -688,7 +691,7 @@ class TestSolverFlags:
 
     @pytest.mark.parametrize("text,message", [
         ("0.5 x\n", "could not convert string to float: 'x'"),
-        ("0.5 nan\n", "activities must be finite"),
+        ("0.5 nan\n", "activity 2 must be a real number within float range, got nan"),
     ])
     def test_init_file_contents_refused_up_front(self, workdir, capsys, text, message):
         acts = workdir / "acts.txt"
@@ -739,4 +742,11 @@ class TestGen:
         out = workdir / "g"
         assert main(["gen", "--vars", "5", *flags, "--out", str(out)]) == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", ["0", "1"])
+    def test_too_few_vars_refused_before_writing(self, workdir, capsys, count):
+        out = workdir / "g"
+        assert main(["gen", "--vars", "2", "--count", count, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: --vars must be >= 3, got 2\n"
         assert not out.exists()

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,21 @@ class TestHistogram:
         monkeypatch.setattr(harness, "solve_with_baseline", fail)
         with pytest.raises(ValueError, match=r"seed must be an int, got 1\.5"):
             run_histogram(bundled_cnf(), 3, 0.0, 1.0, CONFIG, master_seed=1.5)
+
+    @pytest.mark.parametrize("lo,hi,message", [
+        (True, 1.0, "lo must be a real number within float range, got True"),
+        (Decimal(0), 1.0, "lo must be a real number within float range, got Decimal('0')"),
+        ("0", 1.0, "lo must be a real number within float range, got '0'"),
+        (0.0, "1", "hi must be a real number within float range, got '1'"),
+    ])
+    def test_non_real_bound_refused_before_any_search(self, monkeypatch, lo, hi, message):
+        def fail(*args):
+            raise AssertionError("searched with a bound that is no real number")
+
+        monkeypatch.setattr(harness, "solve_with_baseline", fail)
+        with pytest.raises(ValueError) as info:
+            run_histogram(bundled_cnf(), 3, lo, hi, CONFIG, master_seed=1)
+        assert str(info.value) == message
 
     def test_baseline_without_conflicts_raises(self):
         trivial = Cnf.from_lists(2, [[1, 2]])

@@ -197,6 +197,15 @@ class TestHandTraceOracles:
 
 
 class TestDualInterpreter:
+    @pytest.mark.parametrize("short", ["xn", "xp", "xc"])
+    @pytest.mark.parametrize("interpret", [compute_activities, reference_compute_activities])
+    def test_stats_of_wrong_size_refused(self, interpret, short):
+        cnf = bundled_cnf()
+        stats = compute_var_stats(cnf)
+        setattr(stats, short, getattr(stats, short)[:-1])
+        with pytest.raises(ValueError, match="^VarStats size does not match cnf.num_vars$"):
+            interpret(preset_program("add_lc"), cnf, stats)
+
     def test_bitwise_equivalence_random_pairs(self):
         rng = SplitMix64(123)
         for _ in range(100):

@@ -1,8 +1,13 @@
+import sys
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from satgp.cnf import random_3sat, reorder
 from satgp.harness import bundled_cnf
-from satgp.rng import MASK64, SplitMix64, spawn_seeds
+from satgp.rng import MASK64, SplitMix64, check_real, spawn_seeds
 
 # Published reference outputs for this mixer.
 KNOWN_SEED0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
@@ -109,3 +114,23 @@ class TestSeedRule:
     def test_non_int_seed_refused(self, make, message):
         with pytest.raises(ValueError, match=f"seed must be an int, got {message}$"):
             make()
+
+
+class TestCheckReal:
+    """A real number is an int or a float within float range: no bool, no
+    other number type, no NaN or infinity."""
+
+    @pytest.mark.parametrize("value", [0, -3, 0.5, -0.0, sys.float_info.max, 2**1023],
+                             ids=["0", "-3", "0.5", "-0.0", "float-max", "2**1023"])
+    def test_accepted(self, value):
+        check_real("x", value)
+
+    @pytest.mark.parametrize("value", [
+        True, Decimal(1), Fraction(1, 3), np.True_, np.int64(2), np.float64(0.5), "0.5",
+        None, 1j, float("nan"), float("inf"), -float("inf"), 10**400, -10**400,
+    ], ids=["bool", "Decimal", "Fraction", "numpy-bool", "numpy-int64", "numpy-float64", "str",
+            "None", "complex", "nan", "inf", "-inf", "10**400", "-10**400"])
+    def test_refused(self, value):
+        with pytest.raises(ValueError) as info:
+            check_real("x", value)
+        assert str(info.value) == f"x must be a real number within float range, got {value!r:.40}"

@@ -1,8 +1,10 @@
 import dataclasses
 import math
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from conftest import make_random_cnf
@@ -41,12 +43,14 @@ class TestBasics:
             solve(Cnf.from_lists(2, [[1, 2]]), [0.0])
 
     def test_non_finite_init(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="^initial activity at variable 2 must be a real "
+                                             "number within float range, got inf$"):
             solve(Cnf.from_lists(2, [[1, 2]]), [0.0, float("inf")])
 
     @pytest.mark.parametrize("entry,shown", [
         (10**400, "1" + "0" * 39), ("0.5", "'0.5'"), (None, "None"), (1j, "1j"),
-        (True, "True"),
+        (True, "True"), (Decimal(1), "Decimal('1')"), (Fraction(1, 3), "Fraction(1, 3)"),
+        (np.True_, repr(np.True_)), (np.float64(0.5), repr(np.float64(0.5))),
     ])
     def test_init_entry_that_is_no_float_refused(self, entry, shown):
         with pytest.raises(ValueError) as info:
@@ -75,10 +79,11 @@ class TestBasics:
     @pytest.mark.parametrize("field,value,message", [
         ("var_decay", 0.0, "var_decay must be in"),
         ("var_decay", 1.0, "var_decay must be in"),
-        ("var_decay", Fraction(1, 2), "var_decay must be an int or a float"),
+        ("var_decay", Fraction(1, 2), "var_decay must be a real number within float range"),
         ("random_decision_freq", -0.1, "random_decision_freq must be in"),
         ("random_decision_freq", 1.0, "random_decision_freq must be in"),
-        ("random_decision_freq", False, "random_decision_freq must be an int or a float"),
+        ("random_decision_freq", False,
+         "random_decision_freq must be a real number within float range"),
         ("restart_first", 0, "restart_first must be >= 1"),
         ("restart_first", 2.5, "restart_first must be an int"),
         ("rng_seed", 1.5, "rng_seed must be an int"),
