@@ -298,38 +298,27 @@ def _sample_indices(rng: SplitMix64, n: int, k: int) -> list[int]:
 
 
 def tournament_select(population, rng: SplitMix64, size: int) -> Individual:
-    """Best (lowest fitness) of `size` distinct uniform draws.
+    """Best (lowest fitness, the first drawn on a tie) of `size` distinct
+    uniform draws.
 
     Sampling without replacement makes a full-population tournament
     return the global best.
     """
-    best = None
-    for i in _sample_indices(rng, len(population), size):
-        if best is None or population[i].fitness < best.fitness:
-            best = population[i]
-    return best
+    drawn = (population[i] for i in _sample_indices(rng, len(population), size))
+    return min(drawn, key=lambda ind: ind.fitness)
 
 
 def _best_index(population) -> int:
-    best = 0
-    for i in range(1, len(population)):
-        if population[i].fitness < population[best].fitness:
-            best = i
-    return best
+    """The first index of the lowest fitness."""
+    return min(range(len(population)), key=lambda i: population[i].fitness)
 
 
 def _victim_index(population, rng: SplitMix64, size: int, protected: int) -> int:
-    """Inverse tournament: the sampled individual with the highest fitness,
-    never the protected (best-so-far) slot.  size >= 2 draws distinct
-    indices, so at least one candidate is not the protected slot."""
-    candidates = [
-        c for c in _sample_indices(rng, len(population), size) if c != protected
-    ]
-    victim = candidates[0]
-    for c in candidates[1:]:
-        if population[c].fitness > population[victim].fitness:
-            victim = c
-    return victim
+    """Inverse tournament: the sampled individual with the highest fitness
+    (the first drawn on a tie), never the protected (best-so-far) slot.
+    size >= 2 draws distinct indices, so one candidate at least is not it."""
+    candidates = (c for c in _sample_indices(rng, len(population), size) if c != protected)
+    return max(candidates, key=lambda c: population[c].fitness)
 
 
 def step_steady_state(

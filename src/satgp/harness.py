@@ -110,7 +110,9 @@ def replay_sample(
 ) -> SolveOutcome:
     """Re-run one run_histogram sample of the raw formula cnf from its
     stored seed: the search runs on preprocess_bcp's reduced formula, and
-    a formula that run_histogram refuses is refused the same way."""
+    a range or a formula that run_histogram refuses is refused the same
+    way, before any search."""
+    check_histogram_args(1, lo, hi)
     reduced = searched_formula(cnf)
     return solve(reduced, random_init(reduced.num_vars, seed, lo, hi), config)
 

@@ -6,15 +6,16 @@ executed once per variable X:
 
     a0 = 0.0; v1 = 0.0; v2 = 0.0
     PRE
-    for each clause C containing X (binary clauses first):
-        for each literal L in C except X's own literal:
+    for each occurrence of X in a clause C (binary clauses first):
+        for each other position of C, holding literal L:
             IN
     POST
     activity(X) = a0
 
 PRE and POST see X's occurrence counts (xn xp xc), the formula's counts
 (nv nc), the constants 0..4 and the registers (a0 v1 v2); IN additionally
-sees the clause/literal terminals (ln, lp, lc, cs, xs, ls, ic, il).  All
+sees the clause/literal terminals (ln, lp, lc, cs, xs, ls, ic, il); ic
+counts X's occurrences, so a clause that names X twice runs IN twice.  All
 function return values and register writes are clamped to [-1e6, 1e6],
 and division by anything smaller in magnitude than 1e-9 returns the
 positive or negative limit according to the numerator's sign (sign of 0
@@ -39,8 +40,9 @@ instead of calling a closure for it.  An IN tree with no register writer
 (add sub mul div set setv1 setv2) and no `if` is inert: it cannot change
 a register, and its node count does not depend on the run, so its runs
 are counted but not executed.  The oracle `reference_compute_activities`
-walks the trees with eval_node and checks the loop-terminal ranges before
-each IN run.  Both must agree bitwise, in values and in counts.
+walks the trees with eval_node, on one dict per variable that holds every
+terminal and register, and checks the loop-terminal ranges before each IN
+run.  Both must agree bitwise, in values and in counters.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ TERMINALS_BY_FRAGMENT = {
 }
 
 _CONSTANTS = {"0": 0.0, "1": 1.0, "2": 2.0, "3": 3.0, "4": 4.0}
-_REGISTERS = frozenset({"a0", "v1", "v2"})
 
 FRAGMENT_NAMES = ("pre", "in", "post")
 
@@ -188,35 +189,6 @@ class InitProgram:
         return zip(FRAGMENT_NAMES, (self.pre, self.in_loop, self.post))
 
 
-class Registers:
-    """Per-variable mutable registers; reset to zero before PRE runs."""
-
-    __slots__ = ("a0", "v1", "v2")
-
-    def __init__(self):
-        self.a0 = self.v1 = self.v2 = 0.0
-
-
-class EvalContext:
-    """Terminal values for the variable / clause / literal in scope.
-
-    Loop fields (ln..il) are only meaningful while an IN tree runs; the
-    fragment rules guarantee PRE/POST never read them.  node_evals counts
-    every eval_node call for cost accounting.
-    """
-
-    __slots__ = (
-        "xn", "xp", "xc", "nv", "nc",
-        "ln", "lp", "lc", "cs", "xs", "ls", "ic", "il",
-        "node_evals",
-    )
-
-    def __init__(self):
-        for name in self.__slots__:
-            setattr(self, name, 0.0)
-        self.node_evals = 0
-
-
 def _clamp(x: float) -> float:
     if x > CLAMP_LIMIT:
         return CLAMP_LIMIT
@@ -286,41 +258,28 @@ FUNCTIONS = {
 }
 
 
-def eval_node(node: Node, ctx: EvalContext, regs: Registers) -> float:
+def eval_node(node: Node, env: dict) -> float:
     """Evaluate one tree depth-first, left to right, with side effects.
 
-    Only `if` is lazy (it evaluates the condition and exactly one branch);
-    every other function evaluates all of its children.
+    env maps every terminal in scope (registers and constants included) to
+    its value, and "node_evals", a name no program can use, to the count
+    of eval_node calls.  Only `if` is lazy (it evaluates the condition and
+    exactly one branch); every other function evaluates all of its
+    children, and then a writer stores its register's new value.
     """
-    ctx.node_evals += 1
-    kind = node.kind
-    ch = node.children
-
+    env["node_evals"] += 1
+    kind, ch = node.kind, node.children
     if not ch:
-        c = _CONSTANTS.get(kind)
-        if c is not None:
-            return c
-        return getattr(regs if kind in _REGISTERS else ctx, kind)
-
-    f = _PURE.get(kind)
-    if f is not None:
-        x = eval_node(ch[0], ctx, regs)
-        if len(ch) == 1:
-            return f(x)
-        y = eval_node(ch[1], ctx, regs)
-        if len(ch) == 2:
-            return f(x, y)
-        return f(x, y, eval_node(ch[2], ctx, regs))
+        return env[kind]
+    if kind == "if":
+        branch = ch[1] if eval_node(ch[0], env) > 0.0 else ch[2]
+        return _clamp(eval_node(branch, env))
+    args = [eval_node(child, env) for child in ch]
     if kind in _WRITERS:
         reg, f = _WRITERS[kind]
-        v = eval_node(ch[0], ctx, regs)
-        setattr(regs, reg, f(getattr(regs, reg), v))
-        return getattr(regs, reg)
-    if kind == "if":
-        cond = eval_node(ch[0], ctx, regs)
-        branch = ch[1] if cond > 0.0 else ch[2]
-        return _clamp(eval_node(branch, ctx, regs))
-    raise ProgramSyntaxError(f"unknown function {kind!r}")
+        env[reg] = r = f(env[reg], *args)
+        return r
+    return _PURE[kind](*args)
 
 
 def binary_first_order(clauses) -> list[tuple[int, ...]]:
@@ -331,17 +290,19 @@ def binary_first_order(clauses) -> list[tuple[int, ...]]:
     return binaries + others
 
 
-def _check_in_bounds(ctx: EvalContext) -> None:
-    if not (ctx.ln >= 0 and ctx.lp >= 0 and ctx.lc == ctx.ln + ctx.lp):
+def _check_in_bounds(env: dict) -> None:
+    ln, lp, lc, cs, xs, ls, ic, il, xc = (
+        env[k] for k in ("ln", "lp", "lc", "cs", "xs", "ls", "ic", "il", "xc"))
+    if not (ln >= 0 and lp >= 0 and lc == ln + lp):
         raise RuntimeError("literal stats out of bounds")
-    if ctx.cs < 2:
+    if cs < 2:
         raise RuntimeError("IN ran for a clause narrower than 2 literals")
-    if ctx.xs not in (0.0, 1.0) or ctx.ls not in (0.0, 1.0):
+    if xs not in (0.0, 1.0) or ls not in (0.0, 1.0):
         raise RuntimeError("polarity terminal outside {0,1}")
-    if not (0 <= ctx.ic < ctx.xc):
-        raise RuntimeError(f"ic={ctx.ic} outside [0, xc={ctx.xc})")
-    if not (0 <= ctx.il < ctx.cs - 1):
-        raise RuntimeError(f"il={ctx.il} outside [0, cs-1={ctx.cs - 1})")
+    if not (0 <= ic < xc):
+        raise RuntimeError(f"ic={ic} outside [0, xc={xc})")
+    if not (0 <= il < cs - 1):
+        raise RuntimeError(f"il={il} outside [0, cs-1={cs - 1})")
 
 
 def _checked_stats(cnf: Cnf, stats: VarStats | None) -> VarStats:
@@ -435,8 +396,8 @@ def compute_activities(
 
     Result index v-1 holds the activity of variable v.  Each call builds
     one closure per tree node, then runs the per-variable template: PRE,
-    IN for every (clause containing X, other literal L) in the pinned
-    clause order, POST.  It matches reference_compute_activities bitwise.
+    IN for every (occurrence of X in a clause C, other literal L of C) in
+    the pinned clause order, POST.  It matches reference_compute_activities bitwise.
     An IN tree with no register writer and no `if` is inert: it cannot
     change a0, v1 or v2, so its runs are counted but skipped.
 
@@ -496,57 +457,52 @@ def compute_activities(
 
 
 def reference_compute_activities(
-    prog: InitProgram, cnf: Cnf, stats: VarStats | None = None
+    prog: InitProgram,
+    cnf: Cnf,
+    stats: VarStats | None = None,
+    *,
+    counters: dict | None = None,
 ) -> list[float]:
     """Direct per-variable transcription of the template; testing oracle.
 
     Deliberately naive: for each variable it walks the whole clause list
-    looking for occurrences.  Before every IN execution it checks the
-    documented loop-terminal ranges and raises RuntimeError on a breach.
-    Must equal compute_activities bitwise.
+    looking for occurrences, and each variable starts from a fresh env
+    (see eval_node).  Before every IN execution it checks the documented
+    loop-terminal ranges and raises RuntimeError on a breach.  Must equal
+    compute_activities bitwise, and so must the counters it fills: the
+    eval_node calls and the IN executions.
     """
     stats = _checked_stats(cnf, stats)
     n = cnf.num_vars
     ordered = binary_first_order(cnf.clauses)
     out = [0.0] * n
+    node_evals = in_runs = 0
     for x in range(1, n + 1):
-        ctx = EvalContext()
-        ctx.nv = float(n)
-        ctx.nc = float(len(cnf.clauses))
-        ctx.xn = float(stats.xn[x])
-        ctx.xp = float(stats.xp[x])
-        ctx.xc = float(stats.xc[x])
-        regs = Registers()
-
-        eval_node(prog.pre, ctx, regs)
+        env = {**_CONSTANTS, "a0": 0.0, "v1": 0.0, "v2": 0.0, "node_evals": 0,
+               "nv": float(n), "nc": float(len(cnf.clauses)),
+               "xn": float(stats.xn[x]), "xp": float(stats.xp[x]), "xc": float(stats.xc[x])}
+        eval_node(prog.pre, env)
         ic = 0
         for clause in ordered:
-            x_pos = None
-            for j, lit in enumerate(clause):
-                if abs(lit) == x:
-                    x_pos = j
-                    break
-            if x_pos is None:
-                continue
-            ctx.cs = float(len(clause))
-            ctx.xs = 1.0 if clause[x_pos] > 0 else 0.0
-            ctx.ic = float(ic)
-            il = 0
-            for j, lit_l in enumerate(clause):
-                if j == x_pos:
+            for i, lit in enumerate(clause):
+                if abs(lit) != x:
                     continue
-                lv = abs(lit_l)
-                ctx.ln = float(stats.xn[lv])
-                ctx.lp = float(stats.xp[lv])
-                ctx.lc = float(stats.xc[lv])
-                ctx.ls = 1.0 if lit_l > 0 else 0.0
-                ctx.il = float(il)
-                _check_in_bounds(ctx)
-                eval_node(prog.in_loop, ctx, regs)
-                il += 1
-            ic += 1
-        eval_node(prog.post, ctx, regs)
-        out[x - 1] = _clamp(regs.a0)
+                env.update(cs=float(len(clause)), xs=1.0 if lit > 0 else 0.0, ic=float(ic))
+                ic += 1
+                for il, lit_l in enumerate(clause[:i] + clause[i + 1:]):
+                    lv = abs(lit_l)
+                    env.update(ln=float(stats.xn[lv]), lp=float(stats.xp[lv]),
+                               lc=float(stats.xc[lv]), ls=1.0 if lit_l > 0 else 0.0,
+                               il=float(il))
+                    _check_in_bounds(env)
+                    eval_node(prog.in_loop, env)
+                    in_runs += 1
+        eval_node(prog.post, env)
+        out[x - 1] = _clamp(env["a0"])
+        node_evals += env["node_evals"]
+    if counters is not None:
+        counters["node_evals"] = node_evals
+        counters["in_executions"] = in_runs
     return out
 
 

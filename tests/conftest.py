@@ -3,9 +3,7 @@ import struct
 import pytest
 
 from satgp.cnf import Cnf, VarStats
-from satgp.lang import (
-    EvalContext, Registers, compute_activities, eval_node, node_count, parse_program,
-)
+from satgp.lang import _CONSTANTS, compute_activities, eval_node, node_count, parse_program
 from satgp.rng import SplitMix64
 
 
@@ -29,7 +27,7 @@ def run_tree(expr: str, a0=0.0, v1=0.0, xc=0.0):
     """Evaluate a PRE/POST expression with eval_node from the given a0, v1
     and xc, and check that compute_activities computes the same value and
     registers bit for bit, with eval_node's node count.  Returns eval_node's
-    (value, registers).
+    value and its env, in which each register holds its final value.
 
     The compiled run uses one variable in no clause, whose stats carry the
     inputs: PRE loads a0 from xn and v1 from xp, and POST wraps the
@@ -38,28 +36,25 @@ def run_tree(expr: str, a0=0.0, v1=0.0, xc=0.0):
     a0, v1, xc = float(a0), float(v1), float(xc)
 
     def oracle(text):
-        ctx = EvalContext()
-        ctx.xn, ctx.xp, ctx.xc, ctx.nv = a0, v1, xc, 1.0
-        regs = Registers()
-        regs.a0, regs.v1 = a0, v1
-        value = eval_node(parse_program(f"POST: {text}").post, ctx, regs)
-        return value, regs, ctx.node_evals
+        env = {**_CONSTANTS, "xn": a0, "xp": v1, "xc": xc, "nv": 1.0, "nc": 0.0,
+               "a0": a0, "v1": v1, "v2": 0.0, "node_evals": 0}
+        return eval_node(parse_program(f"POST: {text}").post, env), env
 
-    value, regs, _ = oracle(expr)
+    value, env = oracle(expr)
     stats = VarStats(xn=[0, a0], xp=[0, v1], xc=[0, xc])
     for post, expected in (
         (f"set({expr})", value),
-        (expr, regs.a0),
-        (f"set(progn2({expr}, v1))", regs.v1),
-        (f"set(progn2({expr}, v2))", regs.v2),
+        (expr, env["a0"]),
+        (f"set(progn2({expr}, v1))", env["v1"]),
+        (f"set(progn2({expr}, v2))", env["v2"]),
     ):
         prog = parse_program(f"PRE: set(xn), setv1(xp) / POST: {post}")
         counters = {}
         [got] = compute_activities(prog, Cnf(1, ()), stats, counters=counters)
         assert struct.pack("<d", got) == struct.pack("<d", expected), (post, got, expected)
-        node_evals = node_count(prog.pre) + oracle(post)[2]
+        node_evals = node_count(prog.pre) + oracle(post)[1]["node_evals"]
         assert counters == {"node_evals": node_evals, "in_executions": 0}, post
-    return value, regs
+    return value, env
 
 
 @pytest.fixture

@@ -372,6 +372,14 @@ class TestSelection:
         picks = {id(tournament_select(population, rng, 1)) for _ in range(60)}
         assert len(picks) > 1
 
+    def test_ties_go_to_the_first_candidate(self):
+        # All fitnesses equal: each selection keeps its first candidate.
+        population = [Individual(parse_program("IN: 0"), fitness=1.0) for _ in range(6)]
+        drawn = gp._sample_indices(SplitMix64(2), 6, 4)
+        assert tournament_select(population, SplitMix64(2), 4) is population[drawn[0]]
+        assert gp._victim_index(population, SplitMix64(2), 4, drawn[0]) == drawn[1]
+        assert gp._best_index(population) == 0
+
     def test_tournament_larger_than_population_refused(self):
         population = create_initial_population(small_config(population_size=4))
         with pytest.raises(ValueError, match="k=5.*n=4"):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,19 @@ class TestHistogram:
         with pytest.raises(ValueError) as info:
             run_histogram(bundled_cnf(), 3, lo, hi, CONFIG, master_seed=1)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("lo,hi,message", [
+        (1.0, 0.5, "need lo < hi"),
+        *((bad, 1.0, "lo must be a real") for bad in (Decimal(0), "0", True, Fraction(1, 3))),
+        *((0.0, bad, "hi must be a real") for bad in (Decimal(1), "1", True, Fraction(1, 3))),
+    ])
+    def test_replay_sample_refuses_bad_range_before_any_search(self, monkeypatch, lo, hi, message):
+        def fail(*args):
+            raise AssertionError("searched a range that run_histogram refuses")
+
+        monkeypatch.setattr(harness, "solve", fail)
+        with pytest.raises(ValueError, match=message):
+            replay_sample(bundled_cnf(), 1, lo, hi, CONFIG)
 
     def test_baseline_without_conflicts_raises(self):
         trivial = Cnf.from_lists(2, [[1, 2]])

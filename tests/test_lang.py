@@ -12,7 +12,6 @@ from satgp.gp import crossover, random_individual, random_tree
 from satgp.harness import bundled_cnf
 from satgp.lang import (
     CLAMP_LIMIT,
-    EvalContext,
     FRAGMENT_NAMES,
     FUNCTIONS,
     InitProgram,
@@ -36,11 +35,11 @@ from satgp.rng import SplitMix64
 
 class TestEvalSemantics:
     def test_div_by_zero_uses_numerator_sign(self):
-        value, regs = run_tree("div(0)", a0=5.0)
-        assert value == CLAMP_LIMIT and regs.a0 == CLAMP_LIMIT
-        value, regs = run_tree("div(0)", a0=-5.0)
+        value, env = run_tree("div(0)", a0=5.0)
+        assert value == CLAMP_LIMIT and env["a0"] == CLAMP_LIMIT
+        value, env = run_tree("div(0)", a0=-5.0)
         assert value == -CLAMP_LIMIT
-        value, regs = run_tree("div(0)", a0=0.0)  # sign of 0 counts as positive
+        value, env = run_tree("div(0)", a0=0.0)  # sign of 0 counts as positive
         assert value == CLAMP_LIMIT
 
     def test_div_near_zero_denominators(self):
@@ -53,9 +52,9 @@ class TestEvalSemantics:
             assert run_tree("inv(v1)", v1=denom)[0] == CLAMP_LIMIT
 
     def test_pdiv_infix_is_pure(self):
-        value, regs = run_tree("4%0", a0=7.0)
+        value, env = run_tree("4%0", a0=7.0)
         assert value == CLAMP_LIMIT
-        assert regs.a0 == 7.0  # '%' must not touch a0
+        assert env["a0"] == 7.0  # '%' must not touch a0
 
     def test_exp_clamps(self):
         value, _ = run_tree("exp(xc)", xc=100.0)
@@ -86,24 +85,24 @@ class TestEvalSemantics:
 
     def test_if_is_lazy(self):
         # The untaken branch contains set(); registers must stay clean.
-        _, regs = run_tree("if(lessthan(1,2), 3, set(4))")
-        assert regs.a0 == 0.0
-        value, regs = run_tree("if(lessthan(1,2), 3, 4)")
+        _, env = run_tree("if(lessthan(1,2), 3, set(4))")
+        assert env["a0"] == 0.0
+        value, env = run_tree("if(lessthan(1,2), 3, 4)")
         assert value == 3.0
-        value, regs = run_tree("if(0, set(1), 4)")
-        assert value == 4.0 and regs.a0 == 0.0
+        value, env = run_tree("if(0, set(1), 4)")
+        assert value == 4.0 and env["a0"] == 0.0
 
     def test_progn_returns_last(self):
-        value, regs = run_tree("progn2(set(1), 2)")
-        assert value == 2.0 and regs.a0 == 1.0
-        value, regs = run_tree("progn3(set(1), set(2), 3)")
-        assert value == 3.0 and regs.a0 == 2.0
+        value, env = run_tree("progn2(set(1), 2)")
+        assert value == 2.0 and env["a0"] == 1.0
+        value, env = run_tree("progn3(set(1), set(2), 3)")
+        assert value == 3.0 and env["a0"] == 2.0
 
     def test_register_writes_clamped(self):
-        _, regs = run_tree("setv1(exp(4)*exp(4)*exp(4)*exp(4)*exp(4)*exp(4)*exp(4))")
-        assert regs.v1 == CLAMP_LIMIT
-        _, regs = run_tree("set(neg(exp(4))*exp(4)*exp(4)*exp(4)*exp(4)*exp(4)*exp(4))")
-        assert regs.a0 == -CLAMP_LIMIT
+        _, env = run_tree("setv1(exp(4)*exp(4)*exp(4)*exp(4)*exp(4)*exp(4)*exp(4))")
+        assert env["v1"] == CLAMP_LIMIT
+        _, env = run_tree("set(neg(exp(4))*exp(4)*exp(4)*exp(4)*exp(4)*exp(4)*exp(4))")
+        assert env["a0"] == -CLAMP_LIMIT
 
     @pytest.mark.parametrize("expr,value", [
         ("if(1, xc, 0)", CLAMP_LIMIT), ("if(0, 0, neg(xc))", -CLAMP_LIMIT),
@@ -117,8 +116,8 @@ class TestEvalSemantics:
 
     def test_side_effect_order_left_to_right(self):
         # add(set(3)) sets a0 to 3, then adds 3 to the already-updated a0.
-        value, regs = run_tree("add(set(3))")
-        assert value == 6.0 and regs.a0 == 6.0
+        value, env = run_tree("add(set(3))")
+        assert value == 6.0 and env["a0"] == 6.0
 
 
 def _bytes(acts: list[float]) -> bytes:
@@ -196,6 +195,12 @@ class TestHandTraceOracles:
         assert reference_compute_activities(prog, HAND_TRACE_CNF) == expected
 
 
+# What Cnf accepts and make_random_cnf never makes: a duplicate literal, a
+# tautology, both in one clause, and a repeated clause.  IN runs once per
+# occurrence of X in a clause, so (1, 1, 2) runs it twice for X = 1.
+REPEATS_CNF = Cnf(3, ((1, 1, 2), (2, -2), (-3, 1, 3, -3), (1, 2), (1, 2), (-1, -1)))
+
+
 class TestDualInterpreter:
     @pytest.mark.parametrize("short", ["xn", "xp", "xc"])
     @pytest.mark.parametrize("interpret", [compute_activities, reference_compute_activities])
@@ -239,29 +244,41 @@ class TestDualInterpreter:
         checked = []
         check = lang._check_in_bounds
 
-        def counting_check(ctx):
-            checked.append(ctx)
-            check(ctx)
+        def counting_check(env):
+            checked.append(env)
+            check(env)
 
         monkeypatch.setattr(lang, "_check_in_bounds", counting_check)
         rng = SplitMix64(125)
         prog = parse_program("IN: add(ic+il+cs+ls+xs+ln+lp+lc)")
-        for _ in range(40):
-            cnf = make_random_cnf(rng, 3 + rng.randrange(8), 1 + rng.randrange(15),
-                                  min_width=1, max_width=5)
-            counters = {}
+        cnfs = [make_random_cnf(rng, 3 + rng.randrange(8), 1 + rng.randrange(15),
+                                min_width=1, max_width=5) for _ in range(40)]
+        for cnf in cnfs + [REPEATS_CNF]:
+            counters, reference_counters = {}, {}
             fast = compute_activities(prog, cnf, counters=counters)
             checked.clear()
-            assert reference_compute_activities(prog, cnf) == fast
+            assert reference_compute_activities(prog, cnf, counters=reference_counters) == fast
+            assert counters == reference_counters
             assert len(checked) == counters["in_executions"]
 
+    def test_in_runs_once_per_occurrence(self):
+        # X = 1 meets (1, 2) first, with ic 0, then its two occurrences in
+        # (1, 1, 2), with ic 1 and 2, and two other literals each.
+        cnf = Cnf(2, ((1, 1, 2), (1, 2)))
+        for interpret in (compute_activities, reference_compute_activities):
+            assert interpret(parse_program("IN: add(ic)"), cnf) == [6.0, 2.0]
+
+    def test_repeated_variables_match_template(self):
+        prog = parse_program("IN: setv1(v1*3+ic+il), add(xs-ls) / POST: add(v1)")
+        _check_against_template(prog, REPEATS_CNF)
+
     def test_bounds_check_rejects_out_of_range_terminals(self):
-        ctx = EvalContext()
-        ctx.xc, ctx.cs, ctx.ls = 1.0, 2.0, 1.0
-        lang._check_in_bounds(ctx)
-        ctx.ic = 1.0
+        env = dict.fromkeys(("ln", "lp", "lc", "xs", "ic", "il"), 0.0)
+        env.update(xc=1.0, cs=2.0, ls=1.0)
+        lang._check_in_bounds(env)
+        env["ic"] = 1.0
         with pytest.raises(RuntimeError, match="ic=1.0 outside"):
-            lang._check_in_bounds(ctx)
+            lang._check_in_bounds(env)
 
     def test_operation_counter_bound(self):
         cnf = random_3sat(12, 30, seed=11)
@@ -359,28 +376,14 @@ def _closure_test_programs(rng: SplitMix64) -> list[InitProgram]:
     return programs + children
 
 
-def _check_against_template(prog, cnf, stats, monkeypatch):
+def _check_against_template(prog, cnf, stats=None):
     """compute_activities must equal reference_compute_activities, which
-    walks the per-variable template with eval_node, bit for bit, and its
-    counters must equal the reference's: the node_evals of its contexts
-    summed, and its IN runs (one _check_in_bounds call each)."""
-    contexts, in_runs = [], []
-
-    class CountedContext(EvalContext):
-        __slots__ = ()
-
-        def __init__(self):
-            super().__init__()
-            contexts.append(self)
-
-    counters = {}
+    walks the per-variable template with eval_node, bit for bit, and fill
+    the same counters: node_evals and in_executions."""
+    counters, reference_counters = {}, {}
     acts = compute_activities(prog, cnf, stats, counters=counters)
-    monkeypatch.setattr(lang, "EvalContext", CountedContext)
-    monkeypatch.setattr(lang, "_check_in_bounds", in_runs.append)
-    reference = reference_compute_activities(prog, cnf, stats)
-    monkeypatch.undo()
-    assert counters == {"node_evals": sum(c.node_evals for c in contexts),
-                        "in_executions": len(in_runs)}
+    reference = reference_compute_activities(prog, cnf, stats, counters=reference_counters)
+    assert counters == reference_counters
     assert _bytes(acts) == _bytes(reference)
 
 
@@ -388,7 +391,7 @@ class TestClosureEvaluation:
     """compute_activities runs closures built per call; eval_node is the
     oracle for their values, their order of effects and their count."""
 
-    def test_counters_and_bytes_match_template(self, monkeypatch):
+    def test_counters_and_bytes_match_template(self):
         rng = SplitMix64(126)
         programs = _closure_test_programs(rng)
         cnfs = [Cnf(3, ((1,), (), (-2, 3)))]
@@ -400,16 +403,16 @@ class TestClosureEvaluation:
         for cnf in cnfs:
             stats = compute_var_stats(cnf)
             for prog in programs:
-                _check_against_template(prog, cnf, stats, monkeypatch)
+                _check_against_template(prog, cnf, stats)
 
-    def test_bundled_instance(self, monkeypatch):
+    def test_bundled_instance(self):
         cnf = preprocess_bcp(bundled_cnf())[0]
         stats = compute_var_stats(cnf)
         programs = _closure_test_programs(SplitMix64(127))
         # Three if-heavy programs and the last crossover descendant; the
         # reference is slow on an instance of this size.
         for prog in programs[3:6] + programs[-1:]:
-            _check_against_template(prog, cnf, stats, monkeypatch)
+            _check_against_template(prog, cnf, stats)
 
     @pytest.mark.parametrize("expr,value,a0", [
         ("plus(a0, set(3))", 4.0, 3.0),  # a0 is read before set runs
@@ -420,8 +423,8 @@ class TestClosureEvaluation:
         ("mul(set(2))", 4.0, 4.0),  # the child runs before a0 is read
     ])
     def test_children_run_left_to_right(self, expr, value, a0):
-        got, regs = run_tree(expr, a0=1.0, v1=2.0)
-        assert (got, regs.a0) == (value, a0)
+        got, env = run_tree(expr, a0=1.0, v1=2.0)
+        assert (got, env["a0"]) == (value, a0)
 
     @pytest.mark.parametrize("expr,value,a0,v1", [
         ("plus(a0, add(1))", 3.0, 2.0, 2.0),  # the leaf a0 is read first
@@ -431,8 +434,8 @@ class TestClosureEvaluation:
         ("minus(setv1(3), v1)", 0.0, 1.0, 3.0),
     ])
     def test_leaf_operand_next_to_register_writer(self, expr, value, a0, v1):
-        got, regs = run_tree(expr, a0=1.0, v1=2.0)
-        assert (got, regs.a0, regs.v1) == (value, a0, v1)
+        got, env = run_tree(expr, a0=1.0, v1=2.0)
+        assert (got, env["a0"], env["v1"]) == (value, a0, v1)
 
     @pytest.mark.parametrize("kind", list(FUNCTIONS))
     def test_every_kind_on_leaf_and_non_leaf_operands(self, kind):
@@ -485,12 +488,12 @@ class TestInertIn:
         "PRE: set(xn) / IN: setv1(v1+ln) / POST: add(v1)",
         "IN: if(ls, xs, progn2(ln, lp))",
     ])
-    def test_matches_template(self, monkeypatch, text):
+    def test_matches_template(self, text):
         prog = parse_program(text)
         for cnf in (INERT_CNF, preprocess_bcp(bundled_cnf())[0]):
-            _check_against_template(prog, cnf, compute_var_stats(cnf), monkeypatch)
+            _check_against_template(prog, cnf, compute_var_stats(cnf))
 
-    def test_random_inert_programs_match_template(self, monkeypatch):
+    def test_random_inert_programs_match_template(self):
         rng = SplitMix64(128)
         programs = []
         while len(programs) < 8:
@@ -500,7 +503,7 @@ class TestInertIn:
                 programs.append(prog)
         stats = compute_var_stats(INERT_CNF)
         for prog in programs:
-            _check_against_template(prog, INERT_CNF, stats, monkeypatch)
+            _check_against_template(prog, INERT_CNF, stats)
 
     def test_inert_in_loop_is_skipped(self, monkeypatch):
         calls = []
