@@ -42,9 +42,11 @@ from .harness import config_hash, map_shared, searched_formula
 from .lang import (
     FUNCTIONS,
     TERMINALS_BY_FRAGMENT,
+    InLayout,
     InitProgram,
     Node,
     compute_activities,
+    in_layout,
     node_count,
     normalize,
     parse_program,
@@ -84,14 +86,23 @@ class Individual:
     program: InitProgram
     fitness: float | None = None
     per_case: list[tuple[int, int]] | None = None  # (conflicts, decisions)
-    origin: str = ""  # e.g. "full-4", "grow-2", "crossover", "copy"
+    # How the individual was made: "<method>-<depth>" ("full-4", "grow-2"),
+    # "crossover" or "copy".  The package never reads it; the benchmark's
+    # evolve workload does, to tell copies from the children it evaluated.
+    origin: str = ""
 
 
 @dataclass
 class FitnessCase:
+    """One preprocessed formula that GP scores programs on, with the data
+    every interpreter run on it shares: its VarStats and its InLayout,
+    in_layout(cnf, stats).  FitnessCaseSet.from_cnfs builds both once per
+    case, and they go with the case to --jobs workers."""
+
     name: str
     cnf: Cnf  # preprocessed
     stats: VarStats
+    layout: InLayout = field(repr=False)
 
 
 @dataclass
@@ -110,7 +121,8 @@ class FitnessCaseSet:
                 reduced = searched_formula(cnf)
             except ValueError as exc:
                 raise ValueError(f"fitness case {name!r}: {exc}; it must require search") from None
-            cases.append(FitnessCase(name, reduced, compute_var_stats(reduced)))
+            stats = compute_var_stats(reduced)
+            cases.append(FitnessCase(name, reduced, stats, in_layout(reduced, stats)))
         if not cases:
             raise ValueError("at least one fitness case is required")
         return FitnessCaseSet(cases, solver_config)
@@ -156,7 +168,7 @@ def _init_keys(cases: FitnessCaseSet, program: InitProgram) -> list[tuple[int, b
     """map_shared task: the program's by_init key on every fitness case."""
     keys = []
     for i, case in enumerate(cases.cases):
-        acts = normalize(compute_activities(program, case.cnf, case.stats))
+        acts = normalize(compute_activities(program, case.cnf, case.stats, layout=case.layout))
         keys.append((i, struct.pack(f"{len(acts)}d", *acts)))
     return keys
 

@@ -28,21 +28,28 @@ that parse_program reads back.
 Each primitive is defined once: the terminals in TERMINALS_BY_FRAGMENT,
 the functions in two evaluation tables, _WRITERS (the seven register
 writers add sub mul div set setv1 setv2) and _PURE (inv .. progn3), plus
-the lazy `if`, the only special form.  The FUNCTIONS arity table is
-derived from them, and the text format's infix operators (+ - * %) come
-from one table, _INFIX, shared by parser and printer.
+the lazy `if`, the only special form.  A table entry maps its children's
+value lists, one value per variable, to the node's value list.  The
+FUNCTIONS arity table is derived from them, and the text format's infix
+operators (+ - * %) come from one table, _INFIX, shared by parser and
+printer.
 
-`compute_activities` builds one closure per tree node on each call and
-runs the template with them, counting node evaluations exactly from each
-fragment's static size and the `if` branches taken.  A closure reads a
-leaf operand (a terminal or a constant) straight from the shared state
-instead of calling a closure for it.  An IN tree with no register writer
-(add sub mul div set setv1 setv2) and no `if` is inert: it cannot change
-a register, and its node count does not depend on the run, so its runs
-are counted but not executed.  The oracle `reference_compute_activities`
-walks the trees with eval_node, on one dict per variable that holds every
-terminal and register, and checks the loop-terminal ranges before each IN
-run.  Both must agree bitwise, in values and in counters.
+`compute_activities` runs the template for many variables at once, each
+node as one comprehension over the active variables, in the batched
+interpreter of satgp.interpreter, which it loads on its first call.  IN
+runs step by step on an InLayout, which depends only on the formula and
+its VarStats: a FitnessCase builds one when made, and a call given none
+lays out the columns its IN tree reads.  Each variable sees the same IEEE
+operations in the same order as in the template.
+Node evaluations are counted exactly from each fragment's static size
+and the `if` branches taken, times the variables that took them.  An IN
+tree with no register writer (add sub mul div set setv1 setv2) and no
+`if` is inert: it cannot change a register, and its node count does not
+depend on the run, so its runs are counted but not executed.  The oracle
+`reference_compute_activities` walks the trees with eval_node, on one
+dict per variable that holds every terminal and register, applying the
+same tables to one-value lists, and checks the loop-terminal ranges
+before each IN run.  Both must agree bitwise, in values and in counters.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cnf import Cnf, VarStats, compute_var_stats
 
@@ -189,52 +197,56 @@ class InitProgram:
         return zip(FRAGMENT_NAMES, (self.pre, self.in_loop, self.post))
 
 
-def _clamp(x: float) -> float:
-    if x > CLAMP_LIMIT:
-        return CLAMP_LIMIT
-    if x < -CLAMP_LIMIT:
-        return -CLAMP_LIMIT
-    return x
-
-
 # The clamp is written out in the table entries below, `_HI if (r := ...) >
-# _HI else _LO if r < _LO else r`, because a call per node costs more.
+# _HI else _LO if r < _LO else r`, because a call per value costs more.
 _HI, _LO = CLAMP_LIMIT, -CLAMP_LIMIT
+_EPS = DIV_EPSILON
+_exp, _log, _sqrt = math.exp, math.log, math.sqrt
 
 
-def _div(x: float, y: float) -> float:
+def _clamp(x: list[float]) -> list[float]:
+    return [_HI if v > _HI else _LO if v < _LO else v for v in x]
+
+
+def _div(x: list[float], y: list[float]) -> list[float]:
     """Protected division: a near-zero divisor gives the limit with x's sign."""
-    if -DIV_EPSILON < y < DIV_EPSILON:
-        return _HI if x >= 0 else _LO
-    r = x / y
-    return _HI if r > _HI else _LO if r < _LO else r
+    return [(_HI if a >= 0 else _LO) if -_EPS < b < _EPS
+            else _HI if (r := a / b) > _HI else _LO if r < _LO else r
+            for a, b in zip(x, y)]
 
 
 # Pure functions of their children's values, all evaluated left to right.
+# Each maps its children's value lists, one value per variable, to the
+# node's value list; eval_node applies it to lists of one value.
 # plus/minus/times/pdiv are the infix + - * %; pdiv does not touch a0.
 # min and max keep the builtins' choice between equal values (0 and -0).
 _PURE = {
-    "inv": lambda v: _div(1.0, v),
-    "neg": lambda v: _HI if (r := -v) > _HI else _LO if r < _LO else r,
+    "inv": lambda x: _div([1.0] * len(x), x),
+    "neg": lambda x: [_HI if (r := -v) > _HI else _LO if r < _LO else r for v in x],
     # math.exp overflows above ~709.78
-    "exp": lambda v: _HI if v > 709.0 or (r := math.exp(v)) > _HI else r,
+    "exp": lambda x: [_HI if v > 709.0 or (r := _exp(v)) > _HI else r for v in x],
     # log of a positive double lies in (-745, 710): no clamp needed.
-    "log": lambda v: _LO if v <= 0.0 else math.log(v),
-    "sgn": lambda v: -1.0 if v < 0.0 else (1.0 if v > 0.0 else 0.0),
-    "sqrt": lambda v: -1.0 if v < 0.0 else _HI if (r := math.sqrt(v)) > _HI else r,
-    "abs": lambda v: _HI if (r := abs(v)) > _HI else r,
-    "progn2": lambda x, y: _HI if y > _HI else _LO if y < _LO else y,
-    "min": lambda x, y: _HI if (r := y if y < x else x) > _HI else _LO if r < _LO else r,
-    "max": lambda x, y: _HI if (r := y if y > x else x) > _HI else _LO if r < _LO else r,
-    "and": lambda x, y: 1.0 if x > 0.0 and y > 0.0 else 0.0,
-    "or": lambda x, y: 1.0 if x > 0.0 or y > 0.0 else 0.0,
-    "xor": lambda x, y: 1.0 if (x > 0.0) != (y > 0.0) else 0.0,
-    "lessthan": lambda x, y: 1.0 if x < y else 0.0,
-    "plus": lambda x, y: _HI if (r := x + y) > _HI else _LO if r < _LO else r,
-    "minus": lambda x, y: _HI if (r := x - y) > _HI else _LO if r < _LO else r,
-    "times": lambda x, y: _HI if (r := x * y) > _HI else _LO if r < _LO else r,
+    "log": lambda x: [_LO if v <= 0.0 else _log(v) for v in x],
+    "sgn": lambda x: [-1.0 if v < 0.0 else 1.0 if v > 0.0 else 0.0 for v in x],
+    "sqrt": lambda x: [-1.0 if v < 0.0 else _HI if (r := _sqrt(v)) > _HI else r for v in x],
+    "abs": lambda x: [_HI if (r := abs(v)) > _HI else r for v in x],
+    "progn2": lambda x, y: _clamp(y),
+    "min": lambda x, y: [_HI if (r := b if b < a else a) > _HI else _LO if r < _LO else r
+                         for a, b in zip(x, y)],
+    "max": lambda x, y: [_HI if (r := b if b > a else a) > _HI else _LO if r < _LO else r
+                         for a, b in zip(x, y)],
+    "and": lambda x, y: [1.0 if a > 0.0 and b > 0.0 else 0.0 for a, b in zip(x, y)],
+    "or": lambda x, y: [1.0 if a > 0.0 or b > 0.0 else 0.0 for a, b in zip(x, y)],
+    "xor": lambda x, y: [1.0 if (a > 0.0) != (b > 0.0) else 0.0 for a, b in zip(x, y)],
+    "lessthan": lambda x, y: [1.0 if a < b else 0.0 for a, b in zip(x, y)],
+    "plus": lambda x, y: [_HI if (r := a + b) > _HI else _LO if r < _LO else r
+                          for a, b in zip(x, y)],
+    "minus": lambda x, y: [_HI if (r := a - b) > _HI else _LO if r < _LO else r
+                           for a, b in zip(x, y)],
+    "times": lambda x, y: [_HI if (r := a * b) > _HI else _LO if r < _LO else r
+                           for a, b in zip(x, y)],
     "pdiv": _div,
-    "progn3": lambda x, y, z: _HI if z > _HI else _LO if z < _LO else z,
+    "progn3": lambda x, y, z: _clamp(z),
 }
 
 # Writer -> (register r, f): r := f(r, v), where v is the child's value,
@@ -273,13 +285,14 @@ def eval_node(node: Node, env: dict) -> float:
         return env[kind]
     if kind == "if":
         branch = ch[1] if eval_node(ch[0], env) > 0.0 else ch[2]
-        return _clamp(eval_node(branch, env))
-    args = [eval_node(child, env) for child in ch]
+        return _clamp([eval_node(branch, env)])[0]
+    args = [[eval_node(child, env)] for child in ch]
     if kind in _WRITERS:
         reg, f = _WRITERS[kind]
-        env[reg] = r = f(env[reg], *args)
-        return r
-    return _PURE[kind](*args)
+        [env[reg]] = f([env[reg]], *args)
+        return env[reg]
+    [r] = _PURE[kind](*args)
+    return r
 
 
 def binary_first_order(clauses) -> list[tuple[int, ...]]:
@@ -314,12 +327,31 @@ def _checked_stats(cnf: Cnf, stats: VarStats | None) -> VarStats:
     return stats
 
 
-# Positions in the state list a program's closures share: the register
-# bank, the terminals bound for the current variable, clause and literal,
-# then the constants 0..4.
-_SLOT = {name: i for i, name in enumerate((
-    "a0", "v1", "v2", "xn", "xp", "xc", "nv", "nc",
-    "cs", "xs", "ic", "ln", "lp", "lc", "ls", "il", *_CONSTANTS))}
+class InLayout(NamedTuple):
+    """The IN loop of the template for one formula and its VarStats, laid
+    out by step: step k holds the k-th IN run of every variable that has
+    one.  `order` lists the variables by their number of IN runs, longest
+    first, so the variables of step k are a prefix of it; `steps[k]` is
+    that prefix's width and a map from each loop terminal kept to its
+    column, one value per variable of the step.
+    """
+
+    cnf: Cnf
+    stats: VarStats
+    order: list[int]
+    steps: list[tuple[int, dict[str, list[float]]]]
+
+
+def in_layout(cnf: Cnf, stats: VarStats | None = None, terminals=TERMINALS_LOOP) -> InLayout:
+    """Lay out the IN runs of cnf by step, with the columns of the loop
+    terminals named in `terminals`.  A run of X is an (occurrence of X in
+    a clause C, other position of C, holding literal L), in the pinned
+    clause order; ic counts X's occurrences and il the other positions.
+    """
+    from .interpreter import layout_of
+
+    return layout_of(cnf, stats, terminals)
+
 
 # IN kinds that write a register, or whose node count depends on the run.
 # An IN tree with none of them changes nothing that PRE or POST can see,
@@ -327,133 +359,30 @@ _SLOT = {name: i for i, name in enumerate((
 _ACTIVE_IN = frozenset(_WRITERS) | {"if"}
 
 
-def _closure(node: Node, s: list[float], taken: list[int]):
-    """Build a closure that evaluates `node` as eval_node does, on state `s`.
-
-    Returns (closure, static count), the static count being the nodes
-    evaluated on every run: all but those inside `if` branches.  A taken
-    branch adds its own static count to taken[0] when it runs.  A unary
-    or binary node reads a leaf operand as s[k] instead of calling it;
-    Python evaluates call arguments left to right, as eval_node does.
-    """
-    kind, ch = node.kind, node.children
-    if not ch:
-        k = _SLOT[kind]
-        return (lambda: s[k]), 1
-    built = [_closure(child, s, taken) for child in ch]
-    count = 1 + sum(n for _, n in built)
-    if kind == "if":
-        (cond, n_cond), (yes, n_yes), (no, n_no) = built
-
-        def branch():
-            if cond() > 0.0:
-                taken[0] += n_yes
-                r = yes()
-            else:
-                taken[0] += n_no
-                r = no()
-            return _HI if r > _HI else _LO if r < _LO else r
-
-        return branch, 1 + n_cond
-    # Each operand: its slot for a leaf, else its closure.
-    ops = [g if c.children else _SLOT[c.kind] for c, (g, _) in zip(ch, built)]
-    if kind in _WRITERS:
-        (x,) = ops
-        # The child runs before the register is read.
-        reg, f = _WRITERS[kind]
-        k = _SLOT[reg]
-        if type(x) is int:
-            def write():
-                s[k] = r = f(s[k], s[x])
-                return r
-        else:
-            def write():
-                v = x()
-                s[k] = r = f(s[k], v)
-                return r
-        return write, count
-    f = _PURE[kind]
-    if len(ops) == 1:
-        (x,) = ops
-        return (lambda: f(s[x])) if type(x) is int else (lambda: f(x())), count
-    if len(ops) == 3:
-        x, y, z = (g for g, _ in built)
-        return (lambda: f(x(), y(), z())), count
-    x, y = ops
-    if type(x) is int:
-        return (lambda: f(s[x], s[y])) if type(y) is int else (lambda: f(s[x], y())), count
-    return (lambda: f(x(), s[y])) if type(y) is int else (lambda: f(x(), y())), count
-
-
 def compute_activities(
     prog: InitProgram,
     cnf: Cnf,
     stats: VarStats | None = None,
     *,
+    layout: InLayout | None = None,
     counters: dict | None = None,
 ) -> list[float]:
-    """Run the program's closures over the CNF, one variable at a time.
+    """Run the template for all variables at once, in satgp.interpreter.
 
-    Result index v-1 holds the activity of variable v.  Each call builds
-    one closure per tree node, then runs the per-variable template: PRE,
-    IN for every (occurrence of X in a clause C, other literal L of C) in
-    the pinned clause order, POST.  It matches reference_compute_activities bitwise.
-    An IN tree with no register writer and no `if` is inert: it cannot
-    change a0, v1 or v2, so its runs are counted but skipped.
+    Result index v-1 holds the activity of variable v; it matches
+    reference_compute_activities bitwise.  layout must be
+    in_layout(cnf, stats), else ValueError before any node runs; without
+    one, the call lays out the loop terminals its IN tree reads.  An inert
+    IN tree is not run.
 
     counters (a dict) receives 'in_executions', which is the sum over
     clauses of |C|*(|C|-1), and 'node_evals', exactly eval_node's count:
     num_vars*(|PRE| + |POST|) + in_executions*|IN| plus the static count
     of every `if` branch taken, |T| counting the nodes outside branches.
     """
-    stats = _checked_stats(cnf, stats)
-    n = cnf.num_vars
-    xnf = [float(x) for x in stats.xn]
-    xpf = [float(x) for x in stats.xp]
-    xcf = [float(x) for x in stats.xc]
+    from .interpreter import activities
 
-    s = [0.0] * len(_SLOT)
-    s[6], s[7] = float(n), float(len(cnf.clauses))  # nv, nc
-    s[16:] = _CONSTANTS.values()
-    taken = [0]
-    (pre, n_pre), (in_tree, n_in), (post, n_post) = (
-        _closure(tree, s, taken) for _, tree in prog.fragments())
-
-    # occurrences[x]: (cs, xs, clause, i) for each clause C in the pinned
-    # order and each position i in C of a literal of variable x.
-    occurrences = [[] for _ in range(n + 1)]
-    if any(node.kind in _ACTIVE_IN for node in iter_nodes(prog.in_loop)):
-        for clause in binary_first_order(cnf.clauses):
-            cs = float(len(clause))
-            for i, lit in enumerate(clause):
-                occurrences[abs(lit)].append((cs, 1.0 if lit > 0 else 0.0, clause, i))
-    # (ln, lp, lc, ls) of each literal, indexed by signed literal (-v at 2n+1-v).
-    terms = [(xnf[v], xpf[v], xcf[v], 1.0) for v in range(n + 1)]
-    terms += [(xnf[v], xpf[v], xcf[v], 0.0) for v in range(n, 0, -1)]
-
-    out = [0.0] * n
-    for x in range(1, n + 1):
-        s[:6] = 0.0, 0.0, 0.0, xnf[x], xpf[x], xcf[x]  # a0 v1 v2 xn xp xc
-        pre()
-        ic = 0.0
-        for s[8], s[9], clause, i in occurrences[x]:  # cs xs
-            s[10] = ic
-            ic += 1.0
-            il = 0.0
-            for j, lit in enumerate(clause):
-                if j != i:
-                    s[11:15] = terms[lit]  # ln lp lc ls
-                    s[15] = il
-                    il += 1.0
-                    in_tree()
-        post()
-        out[x - 1] = _clamp(s[0])
-
-    if counters is not None:
-        in_runs = sum(len(c) * (len(c) - 1) for c in cnf.clauses)
-        counters["node_evals"] = n * (n_pre + n_post) + in_runs * n_in + taken[0]
-        counters["in_executions"] = in_runs
-    return out
+    return activities(prog, cnf, stats, layout, counters)
 
 
 def reference_compute_activities(
@@ -498,7 +427,7 @@ def reference_compute_activities(
                     eval_node(prog.in_loop, env)
                     in_runs += 1
         eval_node(prog.post, env)
-        out[x - 1] = _clamp(env["a0"])
+        out[x - 1] = _clamp([env["a0"]])[0]
         node_evals += env["node_evals"]
     if counters is not None:
         counters["node_evals"] = node_evals

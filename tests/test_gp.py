@@ -328,9 +328,9 @@ class TestMemo:
         fresh = Individual(parse_program("IN: add(lc)"))
         interpreted = []
 
-        def counted(program, cnf, stats):
+        def counted(program, cnf, stats, **kwargs):
             interpreted.append(print_program(program))
-            return compute_activities(program, cnf, stats)
+            return compute_activities(program, cnf, stats, **kwargs)
 
         monkeypatch.setattr(gp, "compute_activities", counted)
         calls = count_solves(monkeypatch)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_random_cnf, run_tree
-from satgp import lang
+from satgp import interpreter, lang
 from satgp.cnf import Cnf, compute_var_stats, preprocess_bcp, random_3sat
-from satgp.gp import crossover, random_individual, random_tree
+from satgp.gp import FitnessCase, crossover, random_individual, random_tree
 from satgp.harness import bundled_cnf
 from satgp.lang import (
     CLAMP_LIMIT,
@@ -21,6 +21,7 @@ from satgp.lang import (
     ProgramSyntaxError,
     TERMINALS_BY_FRAGMENT,
     compute_activities,
+    in_layout,
     node_count,
     normalize,
     parse_program,
@@ -357,7 +358,7 @@ def _if_heavy_tree(rng: SplitMix64, fragment: str, depth: int) -> Node:
                        _if_heavy_tree(rng, fragment, depth - 1 - rng.randrange(2))))
 
 
-def _closure_test_programs(rng: SplitMix64) -> list[InitProgram]:
+def _evaluator_test_programs(rng: SplitMix64) -> list[InitProgram]:
     """`full` trees of depth 4-6, if-heavy trees, and three crossover
     descendants of them whose IN trees are 13 to CROSSOVER_MAX_DEPTH deep."""
     def program(make):
@@ -379,21 +380,101 @@ def _closure_test_programs(rng: SplitMix64) -> list[InitProgram]:
 def _check_against_template(prog, cnf, stats=None):
     """compute_activities must equal reference_compute_activities, which
     walks the per-variable template with eval_node, bit for bit, and fill
-    the same counters: node_evals and in_executions."""
-    counters, reference_counters = {}, {}
-    acts = compute_activities(prog, cnf, stats, counters=counters)
+    the same counters: node_evals and in_executions.  It is run on a
+    layout of its own call's and on a FitnessCase's full one."""
+    reference_counters = {}
     reference = reference_compute_activities(prog, cnf, stats, counters=reference_counters)
-    assert counters == reference_counters
-    assert _bytes(acts) == _bytes(reference)
+    case_stats = compute_var_stats(cnf) if stats is None else stats
+    case = FitnessCase("case", cnf, case_stats, in_layout(cnf, case_stats))
+    for given, layout in ((stats, None), (case.stats, case.layout)):
+        counters = {}
+        acts = compute_activities(prog, cnf, given, layout=layout, counters=counters)
+        assert counters == reference_counters
+        assert _bytes(acts) == _bytes(reference)
 
 
-class TestClosureEvaluation:
-    """compute_activities runs closures built per call; eval_node is the
-    oracle for their values, their order of effects and their count."""
+# Formulas that Cnf accepts, with ragged and empty IN steps: no variable,
+# a variable in no clause, unit and empty clauses, a width-5 clause.
+EDGE_CNFS = [
+    Cnf(0, ()),
+    Cnf(4, ((1, -2), (2, 3))),
+    Cnf(3, ((1,), (), (-2, 3), (2, -1, 3), (-3,))),
+    Cnf(6, ((1, -2, 3, -4, 5), (2, 6), (-5, -6, 1), (4,))),
+    Cnf(2, ((), ())),
+]
+
+
+class TestBatchedEvaluation:
+    """compute_activities runs each node over many variables at once;
+    eval_node is the oracle for the values, the order of effects and the
+    count."""
+
+    @pytest.mark.parametrize("text", [
+        # The two branches write different registers.
+        "IN: if(lessthan(il, 1), setv1(v1+lc), add(ln)) / POST: add(v1)",
+        # An `if` nested in a branch, each level splitting the variables.
+        "IN: if(xs, if(lessthan(ic, 1), setv2(ic+v2), sub(ls)), mul(progn2(setv1(lp), 2)))"
+        " / POST: add(v2*v1)",
+        # An `if` in PRE and in POST.
+        "PRE: if(lessthan(xn, xp), set(xc), setv1(xn)) / IN: add(lc*v1)"
+        " / POST: if(lessthan(1, v1), mul(v1), setv2(neg(a0)))",
+        # A signed zero through a split `if`, in PRE and in IN.
+        "PRE: if(lessthan(xn, xp), set(neg(0)), set(0))"
+        " / IN: if(ls, set(min(a0, neg(0))), progn2(ln, 0))",
+        "IN: add(cs+xs+ls+ic+il+ln+lp+lc)",
+    ])
+    @pytest.mark.parametrize("cnf", EDGE_CNFS + [REPEATS_CNF], ids=str)
+    def test_edge_layouts_match_template(self, text, cnf):
+        _check_against_template(parse_program(text), cnf)
+
+    def test_signed_zero_survives_a_split_if(self):
+        cnf = Cnf(2, ((1, -2), (1, 2), (-2, 1)))  # xn(1) < xp(1), xn(2) > xp(2)
+        prog = parse_program("PRE: if(lessthan(xn, xp), set(neg(0)), set(0))")
+        assert _bytes(compute_activities(prog, cnf)) == _bytes([-0.0, 0.0])
+
+    def test_random_programs_on_edge_layouts(self):
+        programs = _evaluator_test_programs(SplitMix64(129))
+        for cnf in EDGE_CNFS + [REPEATS_CNF]:
+            for prog in programs:
+                _check_against_template(prog, cnf)
+
+    def test_mismatched_layout_refused_before_any_node_runs(self, monkeypatch):
+        a, b = random_3sat(10, 40, seed=1), random_3sat(10, 40, seed=2)
+        stats_a, stats_b = compute_var_stats(a), compute_var_stats(b)
+        layout = in_layout(a, stats_a)
+        monkeypatch.setattr(interpreter._Batch, "run", lambda *args: pytest.fail("a node ran"))
+        prog = parse_program("IN: add(lc)")
+        with pytest.raises(ValueError, match="^layout was built for another formula$"):
+            compute_activities(prog, b, stats_b, layout=layout)
+        with pytest.raises(ValueError, match="^layout was built for another formula$"):
+            compute_activities(prog, b, layout=layout)
+        with pytest.raises(ValueError, match="^layout was built from other VarStats$"):
+            compute_activities(prog, a, stats_b, layout=layout)
+
+    def test_equal_formula_and_stats_accept_the_layout(self):
+        cnf = random_3sat(10, 40, seed=1)
+        layout = in_layout(cnf)
+        copy = Cnf.from_lists(cnf.num_vars, [list(c) for c in cnf.clauses])
+        prog = parse_program("IN: add(lc-il) / POST: mul(xc+1)")
+        assert compute_activities(prog, copy, compute_var_stats(copy), layout=layout) == (
+            compute_activities(prog, cnf))
+
+    def test_layout_steps_are_prefixes_of_the_order(self):
+        cnf = REPEATS_CNF
+        layout = in_layout(cnf)
+        runs = [sum(len(c) - 1 for c in cnf.clauses for lit in c if abs(lit) == v)
+                for v in layout.order]
+        assert runs == sorted(runs, reverse=True)
+        assert [w for w, _ in layout.steps] == [
+            sum(r > k for r in runs) for k in range(max(runs, default=0))]
+        for width, columns in layout.steps:
+            assert set(columns) == set(TERMINALS_BY_FRAGMENT["in"][13:])
+            assert {len(col) for col in columns.values()} == {width}
+        assert set(in_layout(cnf, terminals=("lc", "ic")).steps[0][1]) == {"lc", "ic"}
 
     def test_counters_and_bytes_match_template(self):
         rng = SplitMix64(126)
-        programs = _closure_test_programs(rng)
+        programs = _evaluator_test_programs(rng)
         cnfs = [Cnf(3, ((1,), (), (-2, 3)))]
         for _ in range(4):
             cnf = make_random_cnf(rng, 3 + rng.randrange(6), 1 + rng.randrange(10),
@@ -408,7 +489,7 @@ class TestClosureEvaluation:
     def test_bundled_instance(self):
         cnf = preprocess_bcp(bundled_cnf())[0]
         stats = compute_var_stats(cnf)
-        programs = _closure_test_programs(SplitMix64(127))
+        programs = _evaluator_test_programs(SplitMix64(127))
         # Three if-heavy programs and the last crossover descendant; the
         # reference is slow on an instance of this size.
         for prog in programs[3:6] + programs[-1:]:
@@ -508,7 +589,7 @@ class TestInertIn:
     def test_inert_in_loop_is_skipped(self, monkeypatch):
         calls = []
         order = lang.binary_first_order
-        monkeypatch.setattr(lang, "binary_first_order", lambda c: calls.append(c) or order(c))
+        monkeypatch.setattr(interpreter, "binary_first_order", lambda c: calls.append(c) or order(c))
         for text, runs in (("IN: exp(lc)+a0", 0), ("IN: setv2(lc)", 1), ("IN: if(0, 1, 2)", 1)):
             calls.clear()
             compute_activities(parse_program(text), INERT_CNF)
