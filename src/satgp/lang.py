@@ -34,13 +34,23 @@ FUNCTIONS arity table is derived from them, and the text format's infix
 operators (+ - * %) come from one table, _INFIX, shared by parser and
 printer.
 
-`compute_activities` runs the template for many variables at once, each
-node as one comprehension over the active variables, in the batched
-interpreter of satgp.interpreter, which it loads on its first call.  IN
-runs step by step on an InLayout, which depends only on the formula and
-its VarStats: a FitnessCase builds one when made, and a call given none
-lays out the columns its IN tree reads.  Each variable sees the same IEEE
-operations in the same order as in the template.
+`compute_activities` runs the template for many variables at once.  Each
+register and terminal is a list with one value per variable, and each
+node runs once as one table entry over the variables that are active:
+
+- PRE and POST run over all variables.
+- IN runs step by step, step k over the variables that have a k-th run
+  (occurrence, other literal).  An InLayout orders the variables by their
+  number of runs, longest first, so those are a prefix of the order, and
+  holds each step's loop-terminal columns.  It depends only on the
+  formula and its VarStats: a FitnessCase builds one when made, and a
+  call given none lays out the columns its IN tree reads.
+- The lazy `if` splits its variables by the condition: each branch runs
+  on its own part, and its value and the registers it writes are
+  scattered back.
+
+So each variable sees the same IEEE operations in the same order as in
+the template.
 Node evaluations are counted exactly from each fragment's static size
 and the `if` branches taken, times the variables that took them.  An IN
 tree with no register writer (add sub mul div set setv1 setv2) and no
@@ -332,8 +342,8 @@ class InLayout(NamedTuple):
     out by step: step k holds the k-th IN run of every variable that has
     one.  `order` lists the variables by their number of IN runs, longest
     first, so the variables of step k are a prefix of it; `steps[k]` is
-    that prefix's width and a map from each loop terminal kept to its
-    column, one value per variable of the step.
+    that prefix's width and a map from each loop terminal to its column,
+    one value per variable of the step.
     """
 
     cnf: Cnf
@@ -342,21 +352,147 @@ class InLayout(NamedTuple):
     steps: list[tuple[int, dict[str, list[float]]]]
 
 
-def in_layout(cnf: Cnf, stats: VarStats | None = None, terminals=TERMINALS_LOOP) -> InLayout:
-    """Lay out the IN runs of cnf by step, with the columns of the loop
-    terminals named in `terminals`.  A run of X is an (occurrence of X in
-    a clause C, other position of C, holding literal L), in the pinned
-    clause order; ic counts X's occurrences and il the other positions.
+def in_layout(cnf: Cnf, stats: VarStats | None = None) -> InLayout:
+    """Lay out the IN runs of cnf by step.  A run of X is an (occurrence
+    of X in a clause C, other position of C, holding literal L), in the
+    pinned clause order; ic counts X's occurrences and il the other
+    positions.
     """
-    from .interpreter import layout_of
+    return _layout(cnf, _checked_stats(cnf, stats), TERMINALS_LOOP)
 
-    return layout_of(cnf, stats, terminals)
+
+def _layout(cnf: Cnf, stats: VarStats, terminals) -> InLayout:
+    """in_layout with only the columns of the loop terminals in
+    `terminals`: a compute_activities call given no layout needs no more.
+    Building it costs one pass over the runs."""
+    n = cnf.num_vars
+    occurrences = [[] for _ in range(n + 1)]  # (C, i) for each position i of X in C
+    runs = [0] * (n + 1)
+    for clause in binary_first_order(cnf.clauses):
+        for i, lit in enumerate(clause):
+            occurrences[abs(lit)].append((clause, i))
+            runs[abs(lit)] += len(clause) - 1
+    order = sorted(range(1, n + 1), key=runs.__getitem__, reverse=True)
+    # Shared floats for cs, ic and il, so a column costs a pointer per value.
+    floats = [float(k) for k in range(1 + max(map(len, [*cnf.clauses, *occurrences])))]
+    # A row lists a terminal's values over one variable's runs, given its
+    # occurrences; ln, lp, lc and ls are looked up from the literals L.
+    rows = {
+        "L": lambda occ: [v for c, i in occ for v in c[:i] + c[i + 1:]],
+        "cs": lambda occ: [floats[len(c)] for c, _ in occ for _ in c[1:]],
+        "xs": lambda occ: [1.0 if c[i] > 0 else 0.0 for c, i in occ for _ in c[1:]],
+        "ic": lambda occ: [floats[ic] for ic, (c, _) in enumerate(occ) for _ in c[1:]],
+        "il": lambda occ: [v for c, _ in occ for v in floats[:len(c) - 1]],
+    }
+    by_literal = {"ls": [1.0] * (n + 1) + [0.0] * n}  # by signed literal, -v at 2n+1-v
+    for name, col in ("ln", stats.xn), ("lp", stats.xp), ("lc", stats.xc):
+        col = [float(x) for x in col]
+        by_literal[name] = col + col[:0:-1]
+    kept = [name for name in TERMINALS_LOOP if name in terminals]
+    # Each row needed, for the variables in order; the rows of variables
+    # with no k-th run are dropped before step k.
+    table = {row: [rows[row](occurrences[x]) for x in order]
+             for row in {name if name in rows else "L" for name in kept}}
+    steps = []
+    width = n
+    for k in range(runs[order[0]] if n else 0):
+        while runs[order[width - 1]] <= k:
+            width -= 1
+        at_k = {}
+        for row, per_var in table.items():
+            del per_var[width:]
+            at_k[row] = [r[k] for r in per_var]
+        steps.append((width, {
+            name: at_k[name] if name in rows else list(map(by_literal[name].__getitem__, at_k["L"]))
+            for name in kept}))
+    return InLayout(cnf, stats, order, steps)
 
 
 # IN kinds that write a register, or whose node count depends on the run.
 # An IN tree with none of them changes nothing that PRE or POST can see,
 # so compute_activities need not run it (a structural intron).
 _ACTIVE_IN = frozenset(_WRITERS) | {"if"}
+
+
+def _static_count(node: Node) -> int:
+    """The nodes every run of `node` evaluates: all but those inside the
+    branches of an `if`."""
+    if node.kind == "if":
+        return 1 + _static_count(node.children[0])
+    return 1 + sum(map(_static_count, node.children))
+
+
+def _shape(node: Node) -> tuple[int, set[str], set[str]]:
+    """The static count of `node`, the terminals and registers a run of it
+    may read or write, and the registers it may write."""
+    names, writes = set(), set()
+    for sub in iter_nodes(node):
+        if not sub.children:
+            names.add(sub.kind)
+        elif sub.kind in _WRITERS:
+            writes.add(_WRITERS[sub.kind][0])
+    return _static_count(node), names | writes, writes
+
+
+class _Batch:
+    """One call's evaluator: runs a node for many variables at once, as
+    eval_node runs it for one.
+
+    env maps each terminal and register in scope to a list that holds one
+    value per active variable; a node's value is such a list too.  A
+    writer replaces its register's list with a new one, and no list is
+    changed once a node has returned it, so a value may be a terminal's
+    list itself.  `taken` sums, over the `if` branches run, the branch's
+    static count times the variables that took it.
+    """
+
+    def __init__(self):
+        self.taken = 0
+        self.shapes = {}  # id of an `if` node -> the _shape of each branch
+
+    def run(self, node: Node, env: dict) -> list[float]:
+        kind, ch = node.kind, node.children
+        if not ch:
+            return env[kind]
+        if len(ch) == 1:  # every writer is unary
+            c = ch[0]
+            x = self.run(c, env) if c.children else env[c.kind]
+            w = _WRITERS.get(kind)
+            if w is None:
+                return _PURE[kind](x)
+            reg, f = w
+            env[reg] = r = f(env[reg], x)
+            return r
+        if kind != "if":
+            args = [self.run(c, env) if c.children else env[c.kind] for c in ch]
+            return _PURE[kind](*args)
+        # Split the variables by the condition: each branch runs on its
+        # part, and its value and the registers it writes are scattered back.
+        cond, *branches = ch
+        c = self.run(cond, env)
+        shapes = self.shapes.get(id(node))
+        if shapes is None:
+            shapes = self.shapes[id(node)] = [_shape(b) for b in branches]
+        yes = [i for i, v in enumerate(c) if v > 0.0]
+        if not yes or len(yes) == len(c):  # all take one branch
+            k = 0 if yes else 1
+            self.taken += shapes[k][0] * len(c)
+            return _clamp(self.run(branches[k], env))
+        no = [i for i, v in enumerate(c) if not v > 0.0]
+        merged = {}  # "" (a name no program uses) -> the value, each register written -> its list
+        for part, branch, (static, names, writes) in zip((yes, no), branches, shapes):
+            self.taken += static * len(part)
+            sub = {name: list(map(env[name].__getitem__, part)) for name in names}
+            sub[""] = self.run(branch, sub)
+            for name in ("", *writes):
+                if name not in merged:
+                    merged[name] = list(env.get(name, c))
+                full = merged[name]
+                for i, v in zip(part, sub[name]):
+                    full[i] = v
+        out = merged.pop("")
+        env.update(merged)
+        return _clamp(out)
 
 
 def compute_activities(
@@ -367,7 +503,8 @@ def compute_activities(
     layout: InLayout | None = None,
     counters: dict | None = None,
 ) -> list[float]:
-    """Run the template for all variables at once, in satgp.interpreter.
+    """Run the template for all variables at once, each node as one
+    comprehension over the active variables (see the module docstring).
 
     Result index v-1 holds the activity of variable v; it matches
     reference_compute_activities bitwise.  layout must be
@@ -380,9 +517,50 @@ def compute_activities(
     num_vars*(|PRE| + |POST|) + in_executions*|IN| plus the static count
     of every `if` branch taken, |T| counting the nodes outside branches.
     """
-    from .interpreter import activities
+    if layout is not None:
+        if layout.cnf != cnf:
+            raise ValueError("layout was built for another formula")
+        if stats is None:
+            stats = layout.stats
+        elif layout.stats != stats:
+            raise ValueError("layout was built from other VarStats")
+    stats = _checked_stats(cnf, stats)
+    n = cnf.num_vars
+    active_in = any(node.kind in _ACTIVE_IN for node in iter_nodes(prog.in_loop))
+    if active_in:
+        _, in_names, in_writes = _shape(prog.in_loop)
+        if layout is None:
+            layout = _layout(cnf, stats, in_names)
+    order = layout.order if layout is not None else range(1, n + 1)
 
-    return activities(prog, cnf, stats, layout, counters)
+    # Every list in variable order, one value per variable.
+    env = {name: [value] * n for name, value in _CONSTANTS.items()}
+    env.update(nv=[float(n)] * n, nc=[float(len(cnf.clauses))] * n,
+               a0=[0.0] * n, v1=[0.0] * n, v2=[0.0] * n)
+    for name in ("xn", "xp", "xc"):
+        env[name] = [float(getattr(stats, name)[v]) for v in order]
+    batch = _Batch()
+    batch.run(prog.pre, env)
+    if active_in:
+        shared = in_names.difference(TERMINALS_LOOP)
+        for reg in in_writes:  # lists of this call's own, written in place
+            env[reg] = list(env[reg])
+        for width, columns in layout.steps:
+            step = {**columns, **{name: env[name][:width] for name in shared}}
+            batch.run(prog.in_loop, step)
+            for reg in in_writes:
+                env[reg][:width] = step[reg]
+    batch.run(prog.post, env)
+
+    out = [0.0] * n
+    for v, a in zip(order, _clamp(env["a0"])):
+        out[v - 1] = a
+    if counters is not None:
+        in_runs = sum(len(c) * (len(c) - 1) for c in cnf.clauses)
+        n_pre, n_in, n_post = map(_static_count, (prog.pre, prog.in_loop, prog.post))
+        counters["node_evals"] = n * (n_pre + n_post) + in_runs * n_in + batch.taken
+        counters["in_executions"] = in_runs
+    return out
 
 
 def reference_compute_activities(

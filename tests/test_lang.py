@@ -1,12 +1,13 @@
 import hashlib
 import re
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_random_cnf, run_tree
-from satgp import interpreter, lang
+from satgp import lang
 from satgp.cnf import Cnf, compute_var_stats, preprocess_bcp, random_3sat
 from satgp.gp import FitnessCase, crossover, random_individual, random_tree
 from satgp.harness import bundled_cnf
@@ -442,7 +443,7 @@ class TestBatchedEvaluation:
         a, b = random_3sat(10, 40, seed=1), random_3sat(10, 40, seed=2)
         stats_a, stats_b = compute_var_stats(a), compute_var_stats(b)
         layout = in_layout(a, stats_a)
-        monkeypatch.setattr(interpreter._Batch, "run", lambda *args: pytest.fail("a node ran"))
+        monkeypatch.setattr(lang._Batch, "run", lambda *args: pytest.fail("a node ran"))
         prog = parse_program("IN: add(lc)")
         with pytest.raises(ValueError, match="^layout was built for another formula$"):
             compute_activities(prog, b, stats_b, layout=layout)
@@ -470,7 +471,22 @@ class TestBatchedEvaluation:
         for width, columns in layout.steps:
             assert set(columns) == set(TERMINALS_BY_FRAGMENT["in"][13:])
             assert {len(col) for col in columns.values()} == {width}
-        assert set(in_layout(cnf, terminals=("lc", "ic")).steps[0][1]) == {"lc", "ic"}
+
+    def test_layout_costs_one_pass_over_the_runs(self):
+        # Variable 1 is in 500 clauses and each other variable in one:
+        # 3000 runs in 1000 steps over 1001 variables.  A layout holds the
+        # runs, not the longest variable's steps times all the variables.
+        cnf = Cnf(1001, tuple((1, v, -(v + 1)) for v in range(2, 1002, 2)))
+        tracemalloc.start()
+        try:
+            layout = in_layout(cnf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(width for width, _ in layout.steps) == 3000
+        assert peak < 8_000_000, f"{peak} bytes traced"
+        prog = parse_program("IN: if(lessthan(il, 1), add(ic), setv1(ln+v1)) / POST: add(v1)")
+        _check_against_template(prog, cnf)
 
     def test_counters_and_bytes_match_template(self):
         rng = SplitMix64(126)
@@ -589,7 +605,7 @@ class TestInertIn:
     def test_inert_in_loop_is_skipped(self, monkeypatch):
         calls = []
         order = lang.binary_first_order
-        monkeypatch.setattr(interpreter, "binary_first_order", lambda c: calls.append(c) or order(c))
+        monkeypatch.setattr(lang, "binary_first_order", lambda c: calls.append(c) or order(c))
         for text, runs in (("IN: exp(lc)+a0", 0), ("IN: setv2(lc)", 1), ("IN: if(0, 1, 2)", 1)):
             calls.clear()
             compute_activities(parse_program(text), INERT_CNF)
