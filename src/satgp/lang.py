@@ -44,7 +44,7 @@ node runs once as one table entry over the variables that are active:
   number of runs, longest first, so those are a prefix of the order, and
   holds each step's loop-terminal columns.  It depends only on the
   formula and its VarStats: a FitnessCase builds one when made, and a
-  call given none lays out the columns its IN tree reads.
+  call given none builds its own.
 - The lazy `if` splits its variables by the condition: each branch runs
   on its own part, and its value and the registers it writes are
   scattered back.
@@ -353,58 +353,41 @@ class InLayout(NamedTuple):
 
 
 def in_layout(cnf: Cnf, stats: VarStats | None = None) -> InLayout:
-    """Lay out the IN runs of cnf by step.  A run of X is an (occurrence
-    of X in a clause C, other position of C, holding literal L), in the
-    pinned clause order; ic counts X's occurrences and il the other
-    positions.
+    """Lay out the IN runs of cnf by step, in one pass over the runs.  A
+    run of X is an (occurrence of X in a clause C, other position of C,
+    holding literal L), in the pinned clause order; ic counts X's
+    occurrences and il the other positions.
     """
-    return _layout(cnf, _checked_stats(cnf, stats), TERMINALS_LOOP)
-
-
-def _layout(cnf: Cnf, stats: VarStats, terminals) -> InLayout:
-    """in_layout with only the columns of the loop terminals in
-    `terminals`: a compute_activities call given no layout needs no more.
-    Building it costs one pass over the runs."""
+    stats = _checked_stats(cnf, stats)
     n = cnf.num_vars
     occurrences = [[] for _ in range(n + 1)]  # (C, i) for each position i of X in C
-    runs = [0] * (n + 1)
     for clause in binary_first_order(cnf.clauses):
         for i, lit in enumerate(clause):
             occurrences[abs(lit)].append((clause, i))
-            runs[abs(lit)] += len(clause) - 1
-    order = sorted(range(1, n + 1), key=runs.__getitem__, reverse=True)
     # Shared floats for cs, ic and il, so a column costs a pointer per value.
     floats = [float(k) for k in range(1 + max(map(len, [*cnf.clauses, *occurrences])))]
-    # A row lists a terminal's values over one variable's runs, given its
-    # occurrences; ln, lp, lc and ls are looked up from the literals L.
-    rows = {
-        "L": lambda occ: [v for c, i in occ for v in c[:i] + c[i + 1:]],
-        "cs": lambda occ: [floats[len(c)] for c, _ in occ for _ in c[1:]],
-        "xs": lambda occ: [1.0 if c[i] > 0 else 0.0 for c, i in occ for _ in c[1:]],
-        "ic": lambda occ: [floats[ic] for ic, (c, _) in enumerate(occ) for _ in c[1:]],
-        "il": lambda occ: [v for c, _ in occ for v in floats[:len(c) - 1]],
-    }
-    by_literal = {"ls": [1.0] * (n + 1) + [0.0] * n}  # by signed literal, -v at 2n+1-v
-    for name, col in ("ln", stats.xn), ("lp", stats.xp), ("lc", stats.xc):
-        col = [float(x) for x in col]
-        by_literal[name] = col + col[:0:-1]
-    kept = [name for name in TERMINALS_LOOP if name in terminals]
-    # Each row needed, for the variables in order; the rows of variables
-    # with no k-th run are dropped before step k.
-    table = {row: [rows[row](occurrences[x]) for x in order]
-             for row in {name if name in rows else "L" for name in kept}}
+    # Each variable's runs as (L, cs, xs, ic, il) tuples.
+    runs = [[(L, floats[len(c)], 1.0 if c[i] > 0 else 0.0, floats[ic], floats[il])
+             for ic, (c, i) in enumerate(occ) for il, L in enumerate(c[:i] + c[i + 1:])]
+            for occ in occurrences]
+    order = sorted(range(1, n + 1), key=lambda x: len(runs[x]), reverse=True)
+    # ln, lp, lc and ls are looked up by signed literal L, -v at 2n+1-v.
+    by_literal = []
+    for counts in stats.xn, stats.xp, stats.xc:
+        col = [float(x) for x in counts]
+        by_literal.append((col + col[:0:-1]).__getitem__)
+    ln, lp, lc = by_literal
+    ls = ([1.0] * (n + 1) + [0.0] * n).__getitem__
+    per_var = [runs[x] for x in order]
     steps = []
-    width = n
-    for k in range(runs[order[0]] if n else 0):
-        while runs[order[width - 1]] <= k:
-            width -= 1
-        at_k = {}
-        for row, per_var in table.items():
-            del per_var[width:]
-            at_k[row] = [r[k] for r in per_var]
-        steps.append((width, {
-            name: at_k[name] if name in rows else list(map(by_literal[name].__getitem__, at_k["L"]))
-            for name in kept}))
+    for k in range(len(per_var[0]) if n else 0):
+        while len(per_var[-1]) <= k:  # variables with no k-th run
+            per_var.pop()
+        L, cs, xs, ic, il = zip(*[r[k] for r in per_var])
+        steps.append((len(per_var), {
+            "ln": list(map(ln, L)), "lp": list(map(lp, L)), "lc": list(map(lc, L)),
+            "cs": list(cs), "xs": list(xs), "ls": list(map(ls, L)),
+            "ic": list(ic), "il": list(il)}))
     return InLayout(cnf, stats, order, steps)
 
 
@@ -509,8 +492,7 @@ def compute_activities(
     Result index v-1 holds the activity of variable v; it matches
     reference_compute_activities bitwise.  layout must be
     in_layout(cnf, stats), else ValueError before any node runs; without
-    one, the call lays out the loop terminals its IN tree reads.  An inert
-    IN tree is not run.
+    one, the call builds it.  An inert IN tree is not run, and needs none.
 
     counters (a dict) receives 'in_executions', which is the sum over
     clauses of |C|*(|C|-1), and 'node_evals', exactly eval_node's count:
@@ -530,7 +512,7 @@ def compute_activities(
     if active_in:
         _, in_names, in_writes = _shape(prog.in_loop)
         if layout is None:
-            layout = _layout(cnf, stats, in_names)
+            layout = in_layout(cnf, stats)
     order = layout.order if layout is not None else range(1, n + 1)
 
     # Every list in variable order, one value per variable.

@@ -68,9 +68,10 @@ class SplitMix64:
         return lo + self.random() * (hi - lo)
 
     def randrange(self, n: int) -> int:
-        """Uniform integer in [0, n), unbiased via rejection sampling."""
-        if n <= 0:
-            raise ValueError("randrange() requires n >= 1")
+        """Uniform integer in [0, n), 1 <= n <= 2**64, unbiased via rejection
+        sampling; a larger n would leave no output below the limit."""
+        if not 1 <= n <= MASK64 + 1:
+            raise ValueError(f"randrange() requires 1 <= n <= 2**64, got {n}")
         limit = MASK64 + 1 - ((MASK64 + 1) % n)
         while True:
             x = self.next_u64()

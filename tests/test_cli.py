@@ -750,3 +750,11 @@ class TestGen:
         assert main(["gen", "--vars", "2", "--count", count, "--out", str(out)]) == EXIT_ERROR
         assert capsys.readouterr().err == "error: --vars must be >= 3, got 2\n"
         assert not out.exists()
+
+    def test_vars_above_2_to_the_64_refused_before_writing(self, workdir, capsys):
+        out = workdir / "g"
+        vars_ = str(2**64 + 1)
+        assert main(["gen", "--vars", vars_, "--clauses", "1", "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: randrange() requires 1 <= n <= 2**64, got {vars_}\n")
+        assert not out.exists()

@@ -472,6 +472,23 @@ class TestBatchedEvaluation:
             assert set(columns) == set(TERMINALS_BY_FRAGMENT["in"][13:])
             assert {len(col) for col in columns.values()} == {width}
 
+    def test_one_layout_builder(self, monkeypatch):
+        # A call given no layout builds one with in_layout, all eight loop
+        # columns included, though its IN tree reads only lc; a call given
+        # a layout builds none.
+        built = []
+        build = lang.in_layout
+        monkeypatch.setattr(lang, "in_layout", lambda *args: built.append(build(*args)) or built[-1])
+        prog = parse_program("IN: add(lc)")
+        acts = compute_activities(prog, REPEATS_CNF)
+        assert len(built) == 1
+        assert compute_activities(prog, REPEATS_CNF, layout=build(REPEATS_CNF)) == acts
+        assert len(built) == 1
+        [layout] = built
+        assert layout.steps
+        for _, columns in layout.steps:
+            assert list(columns) == list(lang.TERMINALS_LOOP)
+
     def test_layout_costs_one_pass_over_the_runs(self):
         # Variable 1 is in 500 clauses and each other variable in one:
         # 3000 runs in 1000 steps over 1001 variables.  A layout holds the

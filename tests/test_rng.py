@@ -1,3 +1,4 @@
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -58,6 +59,15 @@ class TestDistributions:
             pass
         else:
             raise AssertionError("expected ValueError")
+
+    def test_randrange_refuses_more_than_2_to_the_64(self):
+        # Above 2**64 no 64-bit output lies below the rejection limit, so
+        # the draw would never return.
+        for n in (2**64 + 1, 2**65):
+            message = f"randrange() requires 1 <= n <= 2**64, got {n}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                SplitMix64(1).randrange(n)
+        assert SplitMix64(1).randrange(2**64) == 10451216379200822465
 
     def test_shuffle_is_permutation_and_deterministic(self):
         a = list(range(30))
